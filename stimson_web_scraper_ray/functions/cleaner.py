@@ -68,11 +68,18 @@ class DocumentCleaner:
 
     def clean(self, doc: Node) -> Node:
         """document_cleaner.py:63-83 — exact step order."""
-        self.clean_body_classes(doc)
-        self.clean_article_tags(doc)
-        self.clean_em_tags(doc)
-        self.remove_drop_caps(doc)
-        self.remove_scripts_styles(doc)
+        # The first five steps share one bucketed walk. Each selects its
+        # nodes from the whole tree, so its selection must not depend on
+        # the earlier steps, and it does not: they only pop attributes,
+        # splice out an <em>/<span> while keeping its children in document
+        # order, or detach <script>/<style>/comment nodes, which hold no
+        # element children. No step adds a node or renames a tag.
+        with dom.tag_cache():
+            self.clean_body_classes(doc)
+            self.clean_article_tags(doc)
+            self.clean_em_tags(doc)
+            self.remove_drop_caps(doc)
+            self.remove_scripts_styles(doc)
         self.clean_bad_tags(doc)
         # one walk for the six id/class kill patterns; removal only detaches
         # nodes, so per-pattern sequential scans see the same match sets
@@ -128,9 +135,16 @@ class DocumentCleaner:
         return False
 
     def clean_bad_tags(self, doc):
-        # document_cleaner.py:132-148
+        # document_cleaner.py:132-148 — the three attribute passes share
+        # one snapshot walk. A node removed in an earlier pass is cleared
+        # (no attributes left to match) and its descendants sit in a
+        # detached subtree, so they are exactly the nodes a fresh walk per
+        # pass would no longer see, and touching them cannot change the
+        # live tree. Attributes are never added here, so attribute-less
+        # nodes can be dropped from the snapshot up front.
+        nodes = [n for n in dom._preorder(doc) if n.attrib]
         for attr in ("id", "class", "name"):
-            for node in dom._preorder(doc):
+            for node in nodes:
                 val = node.attrib.get(attr)
                 if val is None or not self.remove_nodes_re.search(val):
                     continue

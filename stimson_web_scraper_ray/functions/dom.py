@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy as _copy
 import re
+import sys
 from html.parser import HTMLParser
 
 COMMENT = "#comment"
@@ -86,17 +87,19 @@ _EMPTY_CHILDREN: list = []
 
 # per-process tag intern memo: html.parser yields fresh string slices per
 # tag; interning makes every `node.tag == tag` in the close scans a
-# pointer comparison and collapses millions of duplicate tag strings
+# pointer comparison and collapses millions of duplicate tag strings.
+# It outlives a page, so it is cleared when full: memory stays bounded
+# however many distinct tag names a crawl meets.
 _TAG_MEMO: dict = {}
+_TAG_MEMO_MAX = 4096
 
 
 def _intern_tag(tag: str) -> str:
     t = _TAG_MEMO.get(tag)
     if t is None:
-        import sys
-
-        t = sys.intern(tag)
-        _TAG_MEMO[tag] = t
+        if len(_TAG_MEMO) >= _TAG_MEMO_MAX:
+            _TAG_MEMO.clear()
+        t = _TAG_MEMO[tag] = sys.intern(tag)
     return t
 
 
@@ -665,11 +668,12 @@ _TAG_CACHE: dict | None = None
 
 
 class tag_cache:
-    """Context manager enabling a (root-id, tag) → node-list cache for all
-    dom selectors inside the block.  ONLY valid while the tree is not
-    mutated — extract_article wraps its read-only metadata pass in this
-    (the pass runs ~20 selectors over the same immutable doc; one walk per
-    distinct tag instead of one per selector)."""
+    """Context manager enabling a root → {tag: node-list} index for all
+    dom selectors inside the block (one bucketed walk serves every tag
+    instead of one walk per selector).  ONLY valid while no mutation can
+    change what a later selector in the block selects: extract_article
+    wraps its read-only metadata pass in this (~20 selectors over the same
+    immutable doc), DocumentCleaner.clean its first five steps."""
 
     def __enter__(self):
         global _TAG_CACHE
@@ -683,20 +687,33 @@ class tag_cache:
         return False
 
 
+def _tag_index(node: Node) -> dict:
+    """One preorder walk bucketed by tag; key None holds every
+    non-comment node, all in document order."""
+    index: dict = {}
+    everything = []
+    for n in _preorder(node):
+        t = n.tag
+        bucket = index.get(t)
+        if bucket is None:
+            index[t] = [n]
+        else:
+            bucket.append(n)
+        if t != COMMENT:
+            everything.append(n)
+    index[None] = everything
+    return index
+
+
 def _tagged(node: Node, tag) -> list[Node]:
     """Descendant-or-self nodes with the given tag (None = all non-comment),
     served from the active tag_cache when one is installed."""
     c = _TAG_CACHE
     if c is not None:
-        key = (id(node), tag)
-        r = c.get(key)
-        if r is None:
-            if tag is None:
-                r = [n for n in _preorder(node) if n.tag != COMMENT]
-            else:
-                r = [n for n in _preorder(node) if n.tag == tag]
-            c[key] = r
-        return list(r)
+        index = c.get(node)
+        if index is None:
+            index = c[node] = _tag_index(node)
+        return list(index.get(tag, ()))
     if tag is None:
         return [n for n in _preorder(node) if n.tag != COMMENT]
     return [n for n in _preorder(node) if n.tag == tag]
@@ -797,9 +814,7 @@ def css_class_word_select(node: Node, tag: str, words) -> list[Node]:
     """[class~=word] selector (whitespace-token match)."""
     wordset = set(words)
     out = []
-    for n in _preorder(node):
-        if n.tag != tag:
-            continue
+    for n in _tagged(node, tag):
         cls = n.attrib.get("class")
         if cls and wordset & set(cls.split()):
             out.append(n)
@@ -860,19 +875,17 @@ def drop_tag(node: Node):
 
 def strip_tags(node: Node, *tags):
     """lxml etree.strip_tags: drop matching descendant tags (keeping content)
-    throughout the subtree."""
+    throughout the subtree. One snapshot pass drops them all: drop_tag
+    moves the children of a dropped node up (they stay in the snapshot,
+    parent set) and creates no node, so a second pass would find none."""
     tagset = set(tags)
-    changed = True
-    while changed:
-        changed = False
-        for n in list(node.iterdescendants()):
-            if n.tag in tagset and n.parent is not None:
-                drop_tag(n)
-                changed = True
+    for n in _preorder(node)[1:]:
+        if n.tag in tagset:
+            drop_tag(n)
 
 
 def get_comments(node: Node) -> list[Node]:
-    return [n for n in node.iter() if n.tag == COMMENT]
+    return _tagged(node, COMMENT)
 
 
 def create_element(tag="p", text=None, tail=None) -> Node:

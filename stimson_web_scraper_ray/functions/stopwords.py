@@ -118,6 +118,9 @@ _ZH_WORDS = """
 
 _ZH_LEXICON = frozenset(_ZH_WORDS)
 _ZH_LEXICON_MAXLEN = max(len(w) for w in _ZH_WORDS)
+# the segmenter matches words of >= 2 chars only, so none can start at a
+# position whose next two chars are not the first two of such a word
+_ZH_LEXICON_PREFIX2 = frozenset(w[:2] for w in _ZH_WORDS if len(w) >= 2)
 
 _AR = """
 في من على إلى عن أن إن كان كانت هذا هذه ذلك تلك التي الذي الذين ما لا لم لن
@@ -210,14 +213,10 @@ class StopWords:
     def get_stopword_count(self, content: str) -> WordStats:
         if not content:
             return WordStats()
-        stripped = self.remove_punctuation(content)
-        overlapping = []
-        count = 0
-        for w in self.candidate_words(stripped.lower()):
-            count += 1
-            if w in self.STOP_WORDS:
-                overlapping.append(w)
-        return WordStats(len(overlapping), count, overlapping)
+        words = self.candidate_words(self.remove_punctuation(content).lower())
+        stops = self.STOP_WORDS
+        overlapping = [w for w in words if w in stops]
+        return WordStats(len(overlapping), len(words), overlapping)
 
 
 class StopWordsChinese(StopWords):
@@ -235,6 +234,7 @@ class StopWordsChinese(StopWords):
     def __init__(self, language="zh"):
         super().__init__("zh")
         self._lexicon = _ZH_LEXICON
+        self._prefix2 = _ZH_LEXICON_PREFIX2
         self._maxlen = _ZH_LEXICON_MAXLEN
 
     def candidate_words(self, stripped_input: str):
@@ -242,6 +242,7 @@ class StopWordsChinese(StopWords):
         s = stripped_input
         n = len(s)
         lex = self._lexicon
+        prefix2 = self._prefix2
         maxlen = self._maxlen
         old_j = -1
         k = 0
@@ -252,12 +253,13 @@ class StopWordsChinese(StopWords):
                 continue
             # DAG edges at k: all lexicon words s[k:k+ln], ln in 2..maxlen
             found = False
-            for ln in range(2, min(maxlen, n - k) + 1):
-                w = s[k:k + ln]
-                if w in lex:
-                    out.append(w)
-                    old_j = k + ln - 1
-                    found = True
+            if s[k:k + 2] in prefix2:
+                for ln in range(2, min(maxlen, n - k) + 1):
+                    w = s[k:k + ln]
+                    if w in lex:
+                        out.append(w)
+                        old_j = k + ln - 1
+                        found = True
             if not found and k > old_j:
                 out.append(c)
                 old_j = k

@@ -71,7 +71,9 @@ class ExtractArticles:
                  with_outlinks: bool = True):
         self.cfg = config or EngineConfig()
         self.with_outlinks = with_outlinks
-        # touch the cleaner once so regex compilation cost is paid per actor
+        # build one cleaner up front so its patterns are compiled before the
+        # first batch; extract_article builds a cleaner per page, and those
+        # compiles hit re's pattern cache
         DocumentCleaner(self.cfg)
 
     def __call__(self, batch: pa.Table) -> pa.Table:

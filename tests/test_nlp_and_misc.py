@@ -271,3 +271,36 @@ def test_fast_date_parse_matches_dateutil():
         except (ValueError, OverflowError):
             want = None
         assert got == want, (s, got, want)
+
+
+def test_fast_date_url_path_matches_dateutil():
+    """URL-path dates as the URL date regex cuts them ('2014/05/05/',
+    trailing separator included) take the fast path. Exhaustive over
+    years, 1- and 2-digit months and days (valid and out of range),
+    both separators and an optional trailing '/': parse_date_str must
+    equal dateutil, or None where dateutil raises."""
+    from dateutil.parser import parse as du
+
+    from stimson_web_scraper_ray.functions.metadata import (
+        _FAST_DATE,
+        parse_date_str,
+    )
+
+    def forms(hi):
+        return [f"{v}" for v in range(hi + 1)] + \
+            [f"{v:02d}" for v in range(10)]
+
+    fast = 0
+    for y in ("1999", "2014", "2020"):
+        for mo in forms(13):
+            for d in forms(32):
+                for s1, s2 in (("/", "/"), ("-", "-"), ("/", "-")):
+                    for tail in ("", "/", "/ "):
+                        s = f"{y}{s1}{mo}{s2}{d}{tail}"
+                        fast += bool(_FAST_DATE.match(s))
+                        try:
+                            want = du(s)
+                        except (ValueError, OverflowError):
+                            want = None
+                        assert parse_date_str(s) == want, s
+    assert fast > 20000

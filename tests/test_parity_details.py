@@ -357,45 +357,60 @@ def test_fast_tokenizer_bare_charref_resumes():
     assert any(nd.tag == "div" for nd in root.iter())
 
 
+def _tokenizer_events(html, fast):
+    """Coalesced handler events of the fast scanner (fast=True) or of
+    stdlib feed()+close() (fast=False). Consecutive data events are
+    joined: stdlib may emit data in different chunkings."""
+    from stimson_web_scraper_ray.functions import dom
+
+    ev = []
+
+    class Rec(dom._TreeBuilder):
+        def handle_starttag(self, t, a):
+            ev.append(("st", t, tuple(a)))
+            super().handle_starttag(t, a)
+
+        def handle_startendtag(self, t, a):
+            ev.append(("se", t, tuple(a)))
+            super().handle_startendtag(t, a)
+
+        def handle_endtag(self, t):
+            ev.append(("et", t))
+            super().handle_endtag(t)
+
+        def handle_data(self, d):
+            if ev and ev[-1][0] == "d":
+                ev[-1] = ("d", ev[-1][1] + d)
+            else:
+                ev.append(("d", d))
+            super().handle_data(d)
+
+        def handle_charref(self, n):
+            ev.append(("cr", n))
+            super().handle_charref(n)
+
+        def handle_entityref(self, n):
+            ev.append(("er", n))
+            super().handle_entityref(n)
+
+        def handle_comment(self, d):
+            ev.append(("c", d))
+            super().handle_comment(d)
+
+    b = Rec()
+    if fast:
+        dom._fast_feed(html, b)
+    else:
+        b.feed(html)
+        b.close()
+    return ev
+
+
 def test_fast_tokenizer_charref_fuzz():
     """Randomized differential fuzz of the bail-out paths: fragments mixing
     bare '&#', entities, tags and semicolons must parse identically in the
     fast scanner and stdlib feed()+close()."""
     import random
-
-    from stimson_web_scraper_ray.functions import dom
-
-    def events(html, fast):
-        ev = []
-
-        class Rec(dom._TreeBuilder):
-            def handle_starttag(self, t, a):
-                ev.append(("st", t, tuple(a)))
-                super().handle_starttag(t, a)
-
-            def handle_endtag(self, t):
-                ev.append(("et", t))
-                super().handle_endtag(t)
-
-            def handle_data(self, d):
-                ev.append(("d", d))
-                super().handle_data(d)
-
-            def handle_charref(self, n):
-                ev.append(("cr", n))
-                super().handle_charref(n)
-
-            def handle_entityref(self, n):
-                ev.append(("er", n))
-                super().handle_entityref(n)
-
-        b = Rec()
-        if fast:
-            dom._fast_feed(html, b)
-        else:
-            b.feed(html)
-            b.close()
-        return ev
 
     rng = random.Random(1234)
     atoms = ["&#", "&", ";", "&#65;", "&amp;", "&am", "<div>", "</div>",
@@ -404,18 +419,35 @@ def test_fast_tokenizer_charref_fuzz():
     for _ in range(300):
         html = "".join(rng.choice(atoms)
                        for _ in range(rng.randint(1, 12)))
-        # normalize consecutive-data splits: stdlib may emit data in
-        # different chunkings; compare coalesced event streams
-        def coalesce(ev):
-            out = []
-            for e in ev:
-                if e[0] == "d" and out and out[-1][0] == "d":
-                    out[-1] = ("d", out[-1][1] + e[1])
-                else:
-                    out.append(list(e) if e[0] == "d" else e)
-            return [tuple(e) if isinstance(e, list) else e for e in out]
-        assert coalesce(events(html, True)) == \
-            coalesce(events(html, False)), repr(html)
+        assert _tokenizer_events(html, True) == \
+            _tokenizer_events(html, False), repr(html)
+
+
+def test_fast_tokenizer_starttag_fuzz():
+    """Randomized differential fuzz of start-tag shapes: every input must
+    give the same event stream in the fast scanner and stdlib
+    feed()+close()."""
+    import random
+
+    rng = random.Random(4321)
+    atoms = [
+        '<a href="x>y">', "<a title='1>2' id=q>", '<b c=">">',   # quoted >
+        "<div class=c id=d>", "<a href=/x?a=1&b=2>", "<i x=y/>",  # unquoted
+        "<br/>", "<img src=x />", "<hr />", "<p/>",              # />
+        "<P CLASS=Up>", "<p class=up>", "<DIV ID='Q'>", "<Img SRC=x>",
+        "<img src=X>",                                          # uppercase
+        '<a b="1" b="2">', "<a x=1 X=2 x=3>",                    # duplicates
+        '<a title="x &amp; y">', "<a t=&amp;>", "<a t='&lt;&#62;'>",  # &amp;
+        "<input disabled>", "<a b=>", "<a =b>", "<a b = 'c' >",
+        "<script>s</script>", "<a", "<a ", "<a href",            # cut tags
+        "</a>", "</div>", "</p>", "text", " ", ">", "/>", "&amp;", "<",
+    ]
+    for _ in range(400):
+        html = "".join(rng.choice(atoms) for _ in range(rng.randint(1, 10)))
+        if rng.random() < 0.25:
+            html += rng.choice(("<a", "<a ", "<a b", '<a b="c'))  # <a at EOF
+        assert _tokenizer_events(html, True) == \
+            _tokenizer_events(html, False), repr(html)
 
 
 def test_calculate_area_reference_gates():
