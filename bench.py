@@ -227,8 +227,8 @@ def run_crawl_only() -> dict:
         if warm:
             # steady-state: exclude ONLY the pool creation→ping spawn
             # barrier — the one-time cost a long-lived cluster pool
-            # amortizes. The rest of setup (out-dir reset, seen shards,
-            # frontier build) recurs per crawl and stays in the timing.
+            # amortizes. The rest of setup (out-dir reset, frontier
+            # build) recurs per crawl and stays in the timing.
             dt -= res.spawn_sec
         best = min(best, dt)
         fetched = res.pages_fetched

@@ -1,6 +1,6 @@
 """The flagship pipeline: BFS crawl rounds over a Common-Crawl-style pages
 table — frontier → politeness budget → fetch → extract → outlink harvest →
-next frontier, with sharded seen-set actors and per-round checkpoints.
+next frontier, with a sharded seen set and per-round checkpoints.
 
 Ray-Data-first layout (north rule / SURVEY.md §7):
 
@@ -10,9 +10,10 @@ Ray-Data-first layout (north rule / SURVEY.md §7):
 - the only wide shuffles are ``groupby(url_hash)`` (in-round dedup) and
   ``groupby(host)`` (politeness top-k), with heavy hosts salted via
   ``part_key`` before fetch so one hot host spreads over the actor pool;
-- the seen set lives in ``state.seen.SeenShard`` actors sharded by
-  ``url_hash % n_shards``; a URL is *seen* when fetched (the crawl-order
-  oracle's invariant: seen set == fetched set);
+- the seen set is ``state.seen.SeenShard`` partitions sharded by
+  ``url_hash % n_shards``, shard ``sid`` hosted by round worker ``sid %
+  pool_size``; a URL is *seen* when fetched (the crawl-order oracle's
+  invariant: seen set == fetched set);
 - each round writes ``round=N/{frontier,seen_shard_*,articles,metrics}``
   plus ``_SUCCESS`` — a killed job resumes from the last complete round
   (per-partition lineage: every metrics row carries (round, host, counts)).
@@ -24,6 +25,7 @@ invariant to parallelism level (SURVEY.md §2.9).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -37,7 +39,7 @@ from ..config import EngineConfig
 from ..functions.urlnorm import canon_hash64, get_domain, prepare_url
 from ..stages.round_worker import CrawlRoundWorker
 from ..stages.url_stage import salt_hosts
-from ..state.seen import make_shard_actors, route
+from ..state.seen import route
 
 FRONTIER_SCHEMA = pa.schema([
     ("url_canon", pa.string()), ("url_hash", pa.uint64()),
@@ -54,14 +56,14 @@ class CrawlResult:
     checkpoint_dir: str
     seen_size: int
     # wall seconds from crawl() entry to the start of round execution
-    # (output-dir reset, shard/pool creation, frontier build; plus the
-    # spawn barrier under warm_pool)
+    # (output-dir reset, pool creation, frontier build, seen-set restore;
+    # plus the spawn barrier under warm_pool)
     setup_sec: float = 0.0
     # wall seconds of ONLY the worker-pool creation→ping window — the
     # one-time actor-process spawn barrier a long-lived cluster pool
     # would not re-pay per crawl. Steady-state measurements subtract
-    # THIS, not setup_sec: the rest of setup (rmtree, seen shards,
-    # frontier) recurs on every crawl even with a warm cluster.
+    # THIS, not setup_sec: the rest of setup (rmtree, frontier, seen-set
+    # restore) recurs on every crawl even with a warm cluster.
     spawn_sec: float = 0.0
 
 
@@ -163,8 +165,8 @@ def _build_frontier_distributed(cand_dir: str, deferred_ds, redirects_df,
                                 fetched_hashes: np.ndarray, shards,
                                 cfg: EngineConfig, depth: int):
     """Distributed next-frontier build: deferred ∪ redirects ∪ spilled
-    candidates → drop fetched (broadcast isin) → seen anti-join (shard-
-    actor RPCs from inside map_batches) → keep-best-per-hash dedup
+    candidates → drop fetched (broadcast isin) → seen anti-join (seen-
+    shard RPCs from inside map_batches) → keep-best-per-hash dedup
     (salted partition, same sort-then-drop_duplicates tie-break as the
     pandas path) → depth cut. Candidate volume never touches the driver."""
     import glob as _glob
@@ -256,7 +258,7 @@ def _build_frontier_distributed(cand_dir: str, deferred_ds, redirects_df,
 
 
 def _seen_check(shards, hashes: np.ndarray, insert: bool) -> np.ndarray:
-    """Distributed semi-join against the shard actors: partition by
+    """Distributed semi-join against the seen shards: partition by
     ``hash % n_shards``, one RPC per shard per call (J1 in SURVEY.md §2.4).
     Returns mask of NEW hashes."""
     import ray
@@ -270,11 +272,8 @@ def _seen_check(shards, hashes: np.ndarray, insert: bool) -> np.ndarray:
         idx = np.nonzero(shard_ids == sid)[0]
         if idx.size == 0:
             continue
-        sub = hashes[idx]
-        if insert:
-            refs.append(shards[sid].check_and_insert.remote(sub))
-        else:
-            refs.append(shards[sid].check.remote(sub))
+        refs.append(shards[sid]("check_and_insert" if insert else "check",
+                                hashes[idx]))
         order.append(idx)
     out = np.zeros(len(hashes), dtype=bool)
     for idx, res in zip(order, ray.get(refs)):
@@ -314,7 +313,7 @@ def _checkpoint_round(ckpt_dir: str, rnd: int, frontier, shards,
                            os.path.join(fpath, "part-empty.parquet"))
             files = []
         n_rows = sum(pq.read_metadata(f).num_rows for f in files)
-    ray.get([s.snapshot.remote(os.path.join(rdir, f"seen_shard_{i}.parquet"))
+    ray.get([s("snapshot", os.path.join(rdir, f"seen_shard_{i}.parquet"))
              for i, s in enumerate(shards)])
     pq.write_table(pa.Table.from_pandas(metrics, preserve_index=False),
                    os.path.join(rdir, "metrics.parquet"))
@@ -343,7 +342,7 @@ def _checkpoint_round_async(ckpt_dir: str, rnd: int,
     rdir = os.path.join(ckpt_dir, f"round={rnd}")
     os.makedirs(rdir, exist_ok=True)
     snap_refs = [
-        s.snapshot.remote(os.path.join(rdir, f"seen_shard_{i}.parquet"))
+        s("snapshot", os.path.join(rdir, f"seen_shard_{i}.parquet"))
         for i, s in enumerate(shards)]
     err: list[BaseException] = []
 
@@ -422,33 +421,18 @@ def crawl(pages_path: str, seeds: list[str], cfg: EngineConfig | None = None,
         shutil.rmtree(articles_dir, ignore_errors=True)
     os.makedirs(articles_dir, exist_ok=True)
 
-    shards = make_shard_actors(cfg.seen_shards)
-
-    start_round = 0
-    frontier = _frontier_from_seeds(seeds)
-    if resume:
-        last = _find_resume_round(ckpt_dir)
-        if last is not None:
-            rdir = os.path.join(ckpt_dir, f"round={last}")
-            frontier = pq.read_table(
-                os.path.join(rdir, "frontier.parquet")).to_pandas()
-            ray.get([
-                s.restore.remote(os.path.join(rdir, f"seen_shard_{i}.parquet"))
-                for i, s in enumerate(shards)])
-            start_round = last + 1
-
     # ONE persistent pool of fused round workers for the whole crawl
     # (stages/round_worker.py: fetch → extract → write → harvest; html
     # never leaves the actor). Raw Ray actors instead of a per-round
     # map_batches pool — the Dataset API tears actor state down at the end
     # of every execution, but politeness clocks, robots caches, parquet
-    # handles and warm extraction state must SURVIVE across rounds; this
-    # is exactly the "shared mutable state the Dataset API can't express"
-    # escape hatch, and it removes ~1s/round of pool spin-up. Host→actor
-    # pinning is sticky for the whole crawl (_run_rounds remembers each
-    # part_key's actor across rounds; LPT packs only NEW keys), so a
-    # host's politeness clock follows it from round to round — stronger
-    # politeness than per-round pools could give.
+    # handles, warm extraction state and the seen shards must SURVIVE
+    # across rounds; this is exactly the "shared mutable state the Dataset
+    # API can't express" escape hatch, and it removes ~1s/round of pool
+    # spin-up. Host→actor pinning is sticky for the whole crawl
+    # (_run_rounds remembers each part_key's actor across rounds; LPT
+    # packs only NEW keys), so a host's politeness clock follows it from
+    # round to round — stronger politeness than per-round pools could give.
     # cap by free CPUs: raw actors at num_cpus=1 would otherwise deadlock
     # on sessions smaller than extract_concurrency (the map_batches
     # autoscaler used to absorb this). With distributed planning enabled
@@ -471,22 +455,41 @@ def crawl(pages_path: str, seeds: list[str], cfg: EngineConfig | None = None,
     _t_spawn = _time.perf_counter()
     pool = [worker_cls.options(**opts).remote(
                 pages_path=pages_path, round_dir="", config=cfg,
-                politeness_delay_s=cfg.politeness_delay_s)
-            for _ in range(pool_size)]
-    if warm_pool:
-        ray.get([a.ping.remote() for a in pool])
-    spawn_sec = _time.perf_counter() - _t_spawn
-    setup_sec = _time.perf_counter() - _t_entry
-
+                politeness_delay_s=cfg.politeness_delay_s,
+                seen_ids=range(i, cfg.seen_shards, pool_size))
+            for i in range(pool_size)]
+    # shards[sid](op, *args): ref of seen-set op on shard sid, which lives
+    # in worker sid % pool_size (CrawlRoundWorker.seen_op)
+    shards = [functools.partial(pool[sid % pool_size].seen_op.remote, sid)
+              for sid in range(cfg.seen_shards)]
     try:
+        if warm_pool:
+            ray.get([a.ping.remote() for a in pool])
+        spawn_sec = _time.perf_counter() - _t_spawn
+
+        start_round = 0
+        frontier = _frontier_from_seeds(seeds)
+        if resume:
+            last = _find_resume_round(ckpt_dir)
+            if last is not None:
+                rdir = os.path.join(ckpt_dir, f"round={last}")
+                frontier = pq.read_table(
+                    os.path.join(rdir, "frontier.parquet")).to_pandas()
+                ray.get([s("restore", os.path.join(
+                    rdir, f"seen_shard_{i}.parquet"))
+                    for i, s in enumerate(shards)])
+                start_round = last + 1
+        setup_sec = _time.perf_counter() - _t_entry
+
         total_fetched = _run_rounds(
             pool, pool_size, shards, frontier, start_round, max_rounds,
             cfg, articles_dir, ckpt_dir)
+        # read before the finally kills the workers that hold the shards
+        seen_size = sum(ray.get([s("size") for s in shards]))
     finally:
         for actor in pool:
             ray.kill(actor)
 
-    seen_size = sum(ray.get([s.size.remote() for s in shards]))
     return CrawlResult(
         rounds=max_rounds, pages_fetched=total_fetched,
         articles_path=articles_dir, checkpoint_dir=ckpt_dir,

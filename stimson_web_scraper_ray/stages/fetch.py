@@ -25,9 +25,25 @@ on host) so a host's token bucket never spans actors.
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
+
+
+def parquet_files(path: str) -> list[str]:
+    """``pyarrow.dataset.dataset(path, format="parquet").files``: ``[path]``
+    for a file, else the directory's files, recursively and sorted, minus
+    names starting with ``_`` or ``.`` (importing pyarrow.dataset would
+    pull pandas into every round-worker process)."""
+    if os.path.isfile(path):
+        return [path]
+    out = []
+    for root, dirs, files in os.walk(path):
+        dirs[:] = [d for d in dirs if not d.startswith(("_", "."))]
+        out += [os.path.join(root, f) for f in files
+                if not f.startswith(("_", "."))]
+    return sorted(out)
 
 
 class RobotsPolicy:
@@ -82,7 +98,6 @@ class Fetcher:
 
     def __init__(self, pages_path: str, politeness_delay_s: float = 0.0):
         self.pages_path = pages_path
-        self.dataset = pads.dataset(pages_path, format="parquet")
         self.robots = RobotsPolicy()
         self.delay = politeness_delay_s
         self.host_clock: dict[str, float] = {}   # token-bucket next-free time
@@ -125,7 +140,7 @@ class Fetcher:
         if self._file_index is not None:
             return
         entries = []
-        for path in sorted(self.dataset.files):
+        for path in parquet_files(self.pages_path):
             pf = pq.ParquetFile(path)
             self._pf_cache[path] = pf
             md = pf.metadata

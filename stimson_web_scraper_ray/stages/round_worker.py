@@ -17,6 +17,8 @@ table returns to the driver:
 Politeness/robots state still lives in the embedded Fetcher; the budget
 dataset is (part_key, url)-sorted and repartitioned upstream exactly as
 before, so each batch remains one (sub-)host's contiguous url range.
+
+The worker also hosts seen-set shards (``seen_op``): no process of their own.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..config import EngineConfig
+from ..state.seen import SeenShard
 from .extract_stage import ExtractArticles
 from .fetch import Fetcher
 from .url_stage import normalize_candidates
@@ -48,8 +51,10 @@ class CrawlRoundWorker:
 
     def __init__(self, pages_path: str, round_dir: str,
                  config: EngineConfig | None = None,
-                 politeness_delay_s: float = 0.0):
+                 politeness_delay_s: float = 0.0, seen_ids=()):
         self.cfg = config or EngineConfig()
+        # the seen-set shards this worker hosts, by shard id
+        self.seen = {sid: SeenShard(sid) for sid in seen_ids}
         self.fetcher = Fetcher(pages_path, politeness_delay_s)
         self.extract = ExtractArticles(self.cfg)
         self.round_dir = round_dir
@@ -67,6 +72,11 @@ class CrawlRoundWorker:
         __init__ has run (worker spawn is ~1.2 s/actor of pure fixed cost
         — the steady-state benchmark mode waits it out before timing)."""
         return 0
+
+    def seen_op(self, sid: int, op: str, *args):
+        """Hosted shard ``sid``'s ``SeenShard.<op>(*args)``: check_and_insert,
+        check, snapshot, restore or size."""
+        return getattr(self.seen[sid], op)(*args)
 
     def process(self, batch: pa.Table, round_dir: str,
                 cand_dir: str | None = None) -> pa.Table:

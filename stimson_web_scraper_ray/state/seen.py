@@ -1,10 +1,10 @@
-"""Distributed URL-seen set: sharded cuckoo-filter actors.
+"""Distributed URL-seen set: hash-routed cuckoo-filter partitions.
 
 Replaces the reference's per-domain memo text files (utils.py:134-181,
 rewritten wholesale per batch and *dumped entirely* past 20k urls —
 data loss by design, utils.py:172-175) with the north-rule design: URLs are
 canonicalized, hashed to 64 bits (urlnorm.canon_hash64) and routed to
-``hash % n_shards`` shard actors, each holding
+``hash % n_shards`` partitions (``SeenShard``), each holding
 
 - a **cuckoo filter** (numpy bucket array, 4 slots × 16-bit fingerprints,
   ~2.2 bytes/key at 95% load) — the approximate membership structure that
@@ -12,6 +12,10 @@ canonicalized, hashed to 64 bits (urlnorm.canon_hash64) and routed to
 - an **exact uint64 key set** alongside it, used to confirm cuckoo hits so a
   false positive can never drop a URL (correctness gate: the final seen set
   must equal the reference's exactly).
+
+The crawl hosts the partitions inside its round-worker processes
+(``CrawlRoundWorker.seen_op``; partition ``sid`` lives in worker
+``sid % pool_size``), so a crawl starts no process for its seen set.
 
 At sandbox scale both structures are held fully; at 10^10 scale the exact
 set is the part that pages to disk (sorted parquet runs) while the filter
@@ -102,8 +106,8 @@ class CuckooFilter:
 
 
 class SeenShard:
-    """One shard of the seen set. Plain class → usable directly in tests,
-    wrapped with ``ray.remote`` by ``make_shard_actors``."""
+    """One partition of the seen set: a plain in-process object, held by
+    a crawl round worker (``CrawlRoundWorker.seen_op``) or used directly."""
 
     def __init__(self, shard_id: int, capacity: int = 1 << 16):
         self.shard_id = shard_id
@@ -154,18 +158,6 @@ class SeenShard:
     def size(self) -> int:
         return len(self.exact)
 
-    def warm(self) -> int:
-        """Warm pyarrow's lazy parquet-writer init (an in-memory write):
-        the first REAL ``snapshot`` otherwise pays ~0.34 s of one-time
-        module init inside the actor process, and the round-0 checkpoint
-        enqueues snapshots just ahead of round 1's seen probe — measured
-        as a 0.38 s serial stall at the round boundary."""
-        import io
-        pq.write_table(
-            pa.table({"url_hash": pa.array([], type=pa.uint64())}),
-            io.BytesIO())
-        return 0
-
     def snapshot(self, path: str) -> int:
         """Exact keys → parquet; the cuckoo filter is rebuilt on restore."""
         keys = np.fromiter(self.exact, dtype=np.uint64, count=len(self.exact))
@@ -183,27 +175,6 @@ class SeenShard:
         if len(keys):
             self.filter.insert(keys)
         return len(keys)
-
-
-def make_shard_actors(n_shards: int, capacity: int = 1 << 16):
-    """Create ``n_shards`` SeenShard ray actors (requires an initialised Ray
-    session — caller owns it)."""
-    import ray
-
-    # near-zero reservation: shards are RPC-bound, not CPU-bound; a full
-    # reservation would starve the map stages on small nodes
-    # num_cpus=0: shards are memory services (dict/filter probes),
-    # never CPU-bound; reserving CPU would let them overcommit the
-    # session when the crawl's worker pool fills every core
-    remote_cls = ray.remote(num_cpus=0)(SeenShard)
-    shards = [remote_cls.remote(i, capacity) for i in range(n_shards)]
-    # fire-and-forget warmup: actor process spawn + imports + parquet
-    # writer init (~0.3-0.7 s) overlap pool creation and round-0
-    # planning instead of landing on the first seen probe / the first
-    # checkpoint snapshot of the crawl
-    for s in shards:
-        s.warm.remote()
-    return shards
 
 
 def route(hashes: np.ndarray, n_shards: int) -> np.ndarray:

@@ -133,6 +133,39 @@ def test_kill_and_resume_reproduces_full_run(ray_session, pages_path, seeds,
         final_seen_hashes(res_full.checkpoint_dir, last, CFG.seen_shards))
 
 
+@pytest.mark.parametrize("n_shards", [3, 1])
+def test_seen_shard_placement_and_resume(ray_session, pages_path, seeds,
+                                         sim_result, tmp_path_factory,
+                                         n_shards):
+    """Seen shards live in the round workers (shard sid in worker
+    sid % pool_size). 3 shards on 2 workers puts two on one worker; 1 shard
+    on 2 workers leaves one worker with none. Either way the crawl equals
+    the simulator, seen_size counts the final snapshot, and a run killed
+    after round 0 then resumed reproduces the full run's seen set."""
+    import dataclasses
+
+    cfg = dataclasses.replace(CFG, seen_shards=n_shards,
+                              extract_concurrency=2)
+    out = str(tmp_path_factory.mktemp(f"crawl_place{n_shards}"))
+    res = crawl(pages_path, seeds, cfg, out_dir=out, max_rounds=3)
+    sim_rounds = sim_result.groupby("round")["url"].apply(set).to_dict()
+    assert _round_urls(res.articles_path) == sim_rounds
+    last = max(sim_rounds)
+    seen = final_seen_hashes(res.checkpoint_dir, last, n_shards)
+    sim_seen = sim_result["url_hash"].to_numpy().astype(np.uint64)
+    assert np.isin(sim_seen, seen).all()
+    assert res.seen_size == len(seen)
+
+    out2 = str(tmp_path_factory.mktemp(f"crawl_place{n_shards}_resume"))
+    crawl(pages_path, seeds, cfg, out_dir=out2, max_rounds=1)
+    res2 = crawl(pages_path, seeds, cfg, out_dir=out2, max_rounds=3,
+                 resume=True)
+    assert _round_urls(res2.articles_path) == sim_rounds
+    seen2 = final_seen_hashes(res2.checkpoint_dir, last, n_shards)
+    assert np.array_equal(seen2, seen)
+    assert res2.seen_size == len(seen2)
+
+
 def test_distributed_planning_parity(ray_session, pages_path, seeds,
                                      tmp_path_factory):
     """cfg.distributed_planning routes candidate dedup, seen filtering,

@@ -106,3 +106,52 @@ def test_robots_crawl_delay_overrides_default():
     assert f.host_clock["slow.com"] == 6.0      # 3 × robots delay 2s
     assert f.host_clock["fast.com"] == 1.5      # 3 × default 0.5s
     assert f.total_wait == (0 + 2 + 4) + (0 + 0.5 + 1.0)
+
+
+def test_parquet_files_matches_pyarrow_dataset(tmp_path):
+    """The Fetcher's own file listing equals pyarrow.dataset's `.files`:
+    flat and nested directories, a single file, and marker files."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from stimson_web_scraper_ray.stages.fetch import parquet_files
+
+    tbl = pa.table({"url": ["u"]})
+    layout = {
+        "flat": ["b.parquet", "a.parquet", "c.parquet"],
+        "nested": ["w.parquet", "a/y.parquet", "a/b/z.parquet",
+                   "a-b/x.parquet", "round=0/part-1.parquet",
+                   "_tmp/q.parquet", ".hidden/q.parquet"],
+        "marked": ["part-0.parquet", "part-1.parquet"],
+    }
+    for top, files in layout.items():
+        for rel in files:
+            path = tmp_path / top / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            pq.write_table(tbl, str(path))
+    (tmp_path / "marked" / "_SUCCESS").write_text("")
+    (tmp_path / "marked" / ".x.crc").write_text("")
+
+    cases = [str(tmp_path / d) for d in layout]
+    cases += [str(tmp_path / "nested") + "/",
+              str(tmp_path / "flat" / "a.parquet")]
+    for path in cases:
+        assert parquet_files(path) == \
+            pads.dataset(path, format="parquet").files, path
+    assert parquet_files(cases[-1]) == [cases[-1]]
+    assert not any("_SUCCESS" in f or ".crc" in f
+                   for f in parquet_files(cases[2]))
+
+
+def test_round_worker_import_pulls_no_pandas():
+    """Importing the round worker (what every crawl worker process does at
+    spawn) must not import pandas or pyarrow.dataset."""
+    import subprocess
+    import sys
+
+    code = ("import sys, stimson_web_scraper_ray.stages.round_worker\n"
+            "print(sorted(m for m in ('pandas', 'pyarrow.dataset')"
+            " if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr
