@@ -40,8 +40,7 @@ def entry() -> Any:
     # distributed planning machinery (spill + salted exchanges +
     # checkpoint-as-frontier), not the bounded small-round fast path
     cfg = EngineConfig(per_host_budget=40, round_budget=2000, seen_shards=4,
-                       extract_concurrency=4, fetch_concurrency=2,
-                       planning_table_limit=0)
+                       extract_concurrency=4, planning_table_limit=0)
     res = crawl(pages_path, seeds, cfg, out_dir="/tmp/swsr_entry", max_rounds=3)
     arts = rd.read_parquet(res.articles_path,
                            columns=["url", "title", "text", "publish_date",
@@ -1216,7 +1215,7 @@ def _q_crawl_flagship(sf_dir: str):
     from stimson_web_scraper_ray.functions.urlnorm import canon_hash64
 
     cfg = EngineConfig(per_host_budget=50, round_budget=2000, seen_shards=4,
-                       extract_concurrency=4, fetch_concurrency=2)
+                       extract_concurrency=4)
     out_dir = f"/tmp/swsr_q_crawl_{canon_hash64(sf_dir) % 10**8}"
     import shutil
 
@@ -2021,7 +2020,7 @@ def _q_crawl_indegree(sf_dir: str):
     seeds = seed_urls(pages_path)[:64]
     cfg = EngineConfig(indegree_priority=True, per_host_budget=25,
                        round_budget=600, seen_shards=4,
-                       extract_concurrency=4, fetch_concurrency=2)
+                       extract_concurrency=4)
     out_dir = f"/tmp/swsr_q_crawlindeg_{canon_hash64(sf_dir) % 10**8}"
     shutil.rmtree(out_dir, ignore_errors=True)
     res = crawl(pages_path, seeds, cfg, out_dir=out_dir, max_rounds=2)
@@ -2217,8 +2216,7 @@ def _shared_crawl_cfg():
     from stimson_web_scraper_ray.config import EngineConfig
 
     return EngineConfig(per_host_budget=50, round_budget=2000,
-                        seen_shards=4, extract_concurrency=4,
-                        fetch_concurrency=2)
+                        seen_shards=4, extract_concurrency=4)
 
 
 def _crawl_res_for(sf_dir: str):

@@ -123,13 +123,7 @@ def _crawl_rounds(pages_path: str, num_cpus: int) -> float:
     shutil.rmtree(out_dir, ignore_errors=True)
     cfg = EngineConfig(per_host_budget=4000, round_budget=40000,
                        seen_shards=8,
-                       extract_concurrency=_crawl_pool(num_cpus),
-                       fixed_pools=True,
-                       # A/B knob for the hybrid tail dispatch (default =
-                       # EngineConfig default; 0 restores pure sticky LPT)
-                       tail_holdback_frac=float(os.environ.get(
-                           "GRAFT_TAIL_FRAC",
-                           EngineConfig.tail_holdback_frac)))
+                       extract_concurrency=_crawl_pool(num_cpus))
     # BFS fanout is ~5, so seed wide enough that 3 rounds touch a large
     # share of the table (8 seeds would only reach ~200 pages)
     seeds = seed_urls(pages_path, n_seeds=1024)
@@ -204,11 +198,7 @@ def run_crawl_only() -> dict:
     seeds = seed_urls(pages_path, n_seeds=4096)
     cfg = EngineConfig(per_host_budget=8000, round_budget=80000,
                        seen_shards=8,
-                       extract_concurrency=_crawl_pool(NUM_CPUS),
-                       fixed_pools=True,
-                       tail_holdback_frac=float(os.environ.get(
-                           "GRAFT_TAIL_FRAC",
-                           EngineConfig.tail_holdback_frac)))
+                       extract_concurrency=_crawl_pool(NUM_CPUS))
     out_dir = "/tmp/swsr_bench/crawl_scaling"
     best, fetched = 9e9, 0
     # 1 rep by default: the crawl half of --scaling is ~4x the headline's

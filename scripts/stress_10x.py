@@ -166,8 +166,7 @@ def main():
     out_dir = "/tmp/swsr_bench/crawl10x"
     shutil.rmtree(out_dir, ignore_errors=True)
     cfg = EngineConfig(per_host_budget=40000, round_budget=400000,
-                       seen_shards=8, extract_concurrency=16,
-                       fixed_pools=True)
+                       seen_shards=8, extract_concurrency=16)
     seeds = seed_urls(pages_path, n_seeds=4096)
     t0 = time.time()
     res = crawl(pages_path, seeds, cfg, out_dir=out_dir, max_rounds=3)

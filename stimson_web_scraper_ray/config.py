@@ -9,7 +9,7 @@ reference's ``extend_config`` kwargs plumbing (utils.py:256-266).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -19,15 +19,11 @@ class EngineConfig:
     max_summary: int = 5_000
     max_keywords: int = 35
     max_authors: int = 10
-    max_title: int = 200
-    max_file_memo: int = 20_000          # reference configuration.py:40-41
 
     # Extraction behaviour
     language: str = "en"
     use_meta_language: bool = True        # reference configuration.py:60-ish
     additional_remove_nodes_re: str | None = None  # configuration.py:79
-    follow_meta_refresh: bool = False     # configuration.py (download-time)
-    use_canonical_link: bool = True       # article.py:421-424 rebuild
     keep_article_html: bool = False
 
     # Frozen "today" so publish-date defaulting is deterministic
@@ -36,40 +32,17 @@ class EngineConfig:
     run_date: str = "2026-01-01"
 
     # Crawl / frontier
-    # distributed_planning routes round planning through Ray Data instead
-    # of driver pandas: workers spill outlink candidates to parquet, and
-    # candidate dedup, seen-filtering, frontier construction and budget
-    # selection run as salted-partition Dataset ops — only the round
-    # budget (<= round_budget rows) ever materializes on the driver. Same
-    # algebra and same deterministic order as the pandas path (parity-
-    # tested crawl==sim). DEFAULT ON (the scale-safe path), with a
-    # bounded fast path: rounds whose frontier fits planning_table_limit
-    # rows plan on the driver table instead — identical algebra, none of
-    # the spill/read-back fixed cost (~1 s/round at sandbox scale). Set
-    # planning_table_limit=0 to force the distributed machinery at any
-    # size (the parity tests do).
-    distributed_planning: bool = True
+    # planning_table_limit picks each round's planning plan from the
+    # frontier's probed row count: up to this many rows plan on the driver
+    # (pandas); above it planning runs through Ray Data — workers spill
+    # outlink candidates to parquet, and candidate dedup, seen-filtering,
+    # frontier construction and budget selection run as salted-partition
+    # Dataset ops, so only the round budget (<= round_budget rows)
+    # materializes on the driver. Same algebra and deterministic order on
+    # both plans (parity-tested crawl==sim); the driver plan skips the
+    # spill/read-back fixed cost (~1 s/round at sandbox scale). 0 forces
+    # the distributed plan at any size (the parity tests do).
     planning_table_limit: int = 200_000
-    # dynamic_dispatch: late-binding per-round work-unit dispatch instead
-    # of sticky LPT host pinning. Only legal with politeness_delay_s == 0
-    # (pinning exists for the politeness clocks). Helps small pools /
-    # skewed rounds (~10% at 4 cpus), hurts wide pools (fixed per-unit
-    # dispatch+probe cost) — measured in crawl.py's dispatch comment.
-    dynamic_dispatch: bool = False
-    # tail_holdback_frac: hybrid dispatch for the default sticky-LPT path.
-    # Each actor's round bucket keeps ~(1-frac) of its rows as ONE static
-    # head call (sticky pinning, one parquet probe span), while its
-    # smallest whole host-groups (~frac of rows) are held back in a shared
-    # tail pool fed late-binding to whichever actor finishes first —
-    # own-origin units preferred, stealing only under imbalance. Shrinks
-    # the round-barrier straggler tail (profiled at 10-14% of fetch wall
-    # with ~4% row imbalance: per-page cost variance, not packing) without
-    # paying dynamic_dispatch's per-unit probe cost on ALL work. Whole
-    # groups only, so a host never spans two actors within a round; active
-    # only when politeness_delay_s == 0 (a stolen group's politeness clock
-    # would not follow it mid-crawl), which is the simulated-network
-    # default. Set 0.0 to restore pure sticky LPT.
-    tail_holdback_frac: float = 0.25
     # indegree_priority scores each harvested candidate by how many
     # distinct fetched pages linked to it this round (citation count —
     # the classic crawl-ordering signal): priority = 1/(1+depth)
@@ -86,17 +59,14 @@ class EngineConfig:
     heavy_host_threshold: int = 1_000     # salt hosts above this candidate count
     salt_buckets: int = 16
     seen_shards: int = 8
-    politeness_delay_s: float = 0.0       # simulated network → no real sleep
+    # simulated network: the per-host wait is accounted, never slept.
+    # > 0 pins every host group to one round worker for the whole crawl
+    # (its politeness clock lives there); at 0 a multi-worker crawl may
+    # rebalance groups between workers (the dispatch's stealable tail)
+    politeness_delay_s: float = 0.0
 
     # Ray Data stage sizing (tuned for 32-cpu node; scale-invariant ratios)
     extract_batch_size: int = 64          # DOMs are 5-20x html size; keep small
-    extract_concurrency: int = 8
-    url_batch_size: int = 4096
-    fetch_concurrency: int = 4
-    # fixed-size actor pools start all actors up front: ~2.4x faster than
-    # autoscaling ramp per pipeline run, but they DEADLOCK when the session
-    # lacks the CPUs — enable only when pool sizes are tuned to the node
-    fixed_pools: bool = False
+    extract_concurrency: int = 8          # extract actors / crawl round workers
 
     http_success_only: bool = True        # network.py:52-89 semantics
-    ignored_content_types: dict = field(default_factory=dict)  # configuration.py:78

@@ -16,7 +16,14 @@ Ray-Data-first layout (north rule / SURVEY.md §7):
   invariant: seen set == fetched set);
 - each round writes ``round=N/{frontier,seen_shard_*,articles,metrics}``
   plus ``_SUCCESS`` — a killed job resumes from the last complete round
-  (per-partition lineage: every metrics row carries (round, host, counts)).
+  (per-partition lineage: every metrics row carries (round, host, counts));
+- fetch runs on ONE persistent pool of round workers, fed by one dispatch,
+  ``_dispatch_sticky_tail``: the round's (sub-)host groups are LPT-packed
+  onto actors and each actor gets one head call. Only when
+  ``politeness_delay_s == 0`` and the pool has more than one worker does
+  each actor hold back its smallest groups (``TAIL_HOLDBACK_FRAC`` of its
+  rows) as a late-binding tail that idle actors may steal; otherwise every
+  host stays pinned to its actor for the whole crawl.
 
 Determinism: within a round, fetch order is (priority desc, depth asc,
 url_hash asc) — ties broken by the 64-bit canonical hash, so results are
@@ -46,6 +53,10 @@ FRONTIER_SCHEMA = pa.schema([
     ("host", pa.string()), ("depth", pa.int32()),
     ("priority", pa.float32()),
 ])
+
+# share of each actor's round rows held back as stealable tail units on
+# the zero-politeness path (see _dispatch_sticky_tail)
+TAIL_HOLDBACK_FRAC = 0.25
 
 
 @dataclass
@@ -281,38 +292,31 @@ def _seen_check(shards, hashes: np.ndarray, insert: bool) -> np.ndarray:
     return out
 
 
-def _checkpoint_round(ckpt_dir: str, rnd: int, frontier, shards,
+def _checkpoint_round(ckpt_dir: str, rnd: int, frontier_ds, shards,
                       metrics: pd.DataFrame) -> str:
-    """Write the round checkpoint; ``frontier`` is a DataFrame (driver
-    planning) or a Ray Dataset (distributed planning — streamed straight
-    to the checkpoint parquet, which then becomes the NEXT round's input:
-    the checkpoint is the frontier's only materialization). Returns the
-    frontier parquet path."""
+    """Write a distributed-planning round's checkpoint: the frontier
+    Dataset streams straight to the checkpoint parquet, which then becomes
+    the NEXT round's input (the checkpoint is the frontier's only
+    materialization). Returns the frontier parquet path. Driver-planned
+    rounds checkpoint through _checkpoint_round_async."""
     import glob as _glob
+    import shutil
 
     import ray
 
     rdir = os.path.join(ckpt_dir, f"round={rnd}")
     os.makedirs(rdir, exist_ok=True)
     fpath = os.path.join(rdir, "frontier.parquet")
-    if isinstance(frontier, pd.DataFrame):
-        pq.write_table(pa.Table.from_pandas(frontier, schema=FRONTIER_SCHEMA,
-                                            preserve_index=False), fpath)
-        n_rows = len(frontier)
-    else:
-        import shutil
-
-        shutil.rmtree(fpath, ignore_errors=True)
-        frontier.write_parquet(fpath)
-        files = _glob.glob(os.path.join(fpath, "*.parquet"))
-        if not files:
-            # empty frontier → write_parquet emits nothing; keep the
-            # checkpoint readable with an empty typed table
-            os.makedirs(fpath, exist_ok=True)
-            pq.write_table(FRONTIER_SCHEMA.empty_table(),
-                           os.path.join(fpath, "part-empty.parquet"))
-            files = []
-        n_rows = sum(pq.read_metadata(f).num_rows for f in files)
+    shutil.rmtree(fpath, ignore_errors=True)
+    frontier_ds.write_parquet(fpath)
+    files = _glob.glob(os.path.join(fpath, "*.parquet"))
+    if not files:
+        # empty frontier → write_parquet emits nothing; keep the
+        # checkpoint readable with an empty typed table
+        os.makedirs(fpath, exist_ok=True)
+        pq.write_table(FRONTIER_SCHEMA.empty_table(),
+                       os.path.join(fpath, "part-empty.parquet"))
+    n_rows = sum(pq.read_metadata(f).num_rows for f in files)
     ray.get([s("snapshot", os.path.join(rdir, f"seen_shard_{i}.parquet"))
              for i, s in enumerate(shards)])
     pq.write_table(pa.Table.from_pandas(metrics, preserve_index=False),
@@ -406,13 +410,6 @@ def crawl(pages_path: str, seeds: list[str], cfg: EngineConfig | None = None,
 
     _t_entry = _time.perf_counter()
     cfg = cfg or EngineConfig()
-    if cfg.dynamic_dispatch and cfg.politeness_delay_s != 0:
-        # fail fast instead of silently falling back to sticky pinning:
-        # late-binding dispatch migrates host groups between actors,
-        # which would reset their politeness clocks mid-crawl
-        raise ValueError(
-            "dynamic_dispatch requires politeness_delay_s == 0 "
-            f"(got {cfg.politeness_delay_s})")
     ckpt_dir = os.path.join(out_dir, "checkpoints")
     articles_dir = os.path.join(out_dir, "articles")
     if not resume:
@@ -429,31 +426,26 @@ def crawl(pages_path: str, seeds: list[str], cfg: EngineConfig | None = None,
     # handles, warm extraction state and the seen shards must SURVIVE
     # across rounds; this is exactly the "shared mutable state the Dataset
     # API can't express" escape hatch, and it removes ~1s/round of pool
-    # spin-up. Host→actor pinning is sticky for the whole crawl
-    # (_run_rounds remembers each part_key's actor across rounds; LPT
-    # packs only NEW keys), so a host's politeness clock follows it from
-    # round to round — stronger politeness than per-round pools could give.
-    # cap by free CPUs: raw actors at num_cpus=1 would otherwise deadlock
-    # on sessions smaller than extract_concurrency (the map_batches
-    # autoscaler used to absorb this). With distributed planning enabled
-    # a Dataset execution runs BETWEEN dispatches while the pool actors
-    # idle — if they RESERVED every CPU the planning exchange would wait
-    # forever for a slot (observed: a 4-actor num_cpus=1 pool on a 4-CPU
-    # session wedged `_plan_round_distributed` at the first Sort). So
-    # under distributed planning the pool declares num_cpus=0: planning
-    # Datasets see the whole session, the pool keeps full fetch
-    # parallelism (real concurrency is bounded by pool_size — one
-    # process() call per actor — not by the declaration), and the two
-    # phases never overlap within a round. SPREAD placement keeps the
-    # declared-zero actors even across nodes, where the default policy
-    # would pack them onto one.
+    # spin-up. Under politeness, host→actor pinning is sticky for the
+    # whole crawl (_run_rounds remembers each part_key's actor across
+    # rounds; LPT packs only NEW keys), so a host's politeness clock
+    # follows it from round to round — stronger politeness than per-round
+    # pools could give.
+    # Distributed planning runs a Dataset execution BETWEEN dispatches
+    # while the pool actors idle — if they RESERVED every CPU the planning
+    # exchange would wait forever for a slot (observed: a 4-actor
+    # num_cpus=1 pool on a 4-CPU session wedged `_plan_round_distributed`
+    # at the first Sort). So the pool declares num_cpus=0: planning
+    # Datasets see the whole session, and real fetch concurrency is
+    # bounded by pool_size (one process() call per actor), capped at the
+    # session's CPUs. SPREAD placement keeps the declared-zero actors even
+    # across nodes, where the default policy would pack them onto one.
     avail_cpus = int(ray.available_resources().get("CPU", 1))
     pool_size = max(1, min(cfg.extract_concurrency, avail_cpus))
-    worker_cls = ray.remote(CrawlRoundWorker)
-    opts = ({"num_cpus": 0, "scheduling_strategy": "SPREAD"}
-            if cfg.distributed_planning else {"num_cpus": 1})
+    worker_cls = ray.remote(CrawlRoundWorker).options(
+        num_cpus=0, scheduling_strategy="SPREAD")
     _t_spawn = _time.perf_counter()
-    pool = [worker_cls.options(**opts).remote(
+    pool = [worker_cls.remote(
                 pages_path=pages_path, round_dir="", config=cfg,
                 politeness_delay_s=cfg.politeness_delay_s,
                 seen_ids=range(i, cfg.seen_shards, pool_size))
@@ -499,17 +491,9 @@ def crawl(pages_path: str, seeds: list[str], cfg: EngineConfig | None = None,
 
 def _run_rounds(pool, pool_size, shards, frontier, start_round, max_rounds,
                 cfg, articles_dir, ckpt_dir) -> int:
-    import ray
-
     import shutil
 
     total_fetched = 0
-    # SWSR_PHASE_LOG=1: per-round phase wall times on stderr — the
-    # profiling hook behind the round-barrier scaling work (the serial
-    # driver fraction is the Amdahl term that caps crawl efficiency)
-    import sys as _sys
-    import time as _time
-    phase_log = os.environ.get("SWSR_PHASE_LOG") == "1"
     # sticky host→actor map: a part_key keeps its actor across rounds so
     # the per-actor politeness clock follows the host; LPT below packs
     # only keys not yet pinned (advisor finding: per-round LPT let hosts
@@ -519,30 +503,26 @@ def _run_rounds(pool, pool_size, shards, frontier, start_round, max_rounds,
     # dispatch completions): actor PROCESSES have persistent ~40% speed
     # differences (host scheduling — BASELINE.md round-3 forensics), so
     # equal-size heads finish ~1 s apart at 13 actors and the slowest
-    # sets the round barrier. Used only on the zero-politeness tail
-    # path, where placement never changes outputs (parity-tested).
+    # sets the round barrier. Used only with the tail on, where placement
+    # never changes outputs (parity-tested).
     speed: dict[int, float] = {}
+    # the late-binding tail may move a host group to another actor: only
+    # when politeness clocks are no-ops and there is another actor to
+    # take it. Otherwise the same dispatch runs with nothing held back.
+    holdback = (TAIL_HOLDBACK_FRAC
+                if cfg.politeness_delay_s == 0 and pool_size > 1 else 0.0)
     # ≤1 outstanding async checkpoint (driver path): joined before the
     # next round's checkpoint and on every exit, so failures surface and
     # checkpoints stay ordered
     ckpt_pending = None
     for rnd in range(start_round, max_rounds):
-        _ph: dict[str, float] = {}
-        _t0 = _time.perf_counter()
-
-        def _stamp(name: str) -> None:
-            nonlocal _t0
-            now = _time.perf_counter()
-            _ph[name] = round(_ph.get(name, 0.0) + now - _t0, 3)
-            _t0 = now
         # per-round path choice: the distributed machinery only earns its
         # fixed cost (spill + read-back + extra exchanges, ~1 s/round)
         # once the frontier outgrows the bounded driver planning table.
         # Both paths compute the identical budget/frontier (parity-tested
         # crawl==sim on each), so the switch is purely an execution-plan
         # decision — the adaptive_join pattern applied to planning.
-        use_dist = cfg.distributed_planning and \
-            _frontier_rows(frontier) > cfg.planning_table_limit
+        use_dist = _frontier_rows(frontier) > cfg.planning_table_limit
         if use_dist:
             budget, deferred = _plan_round_distributed(
                 _as_frontier_ds(frontier), cfg)
@@ -551,14 +531,12 @@ def _run_rounds(pool, pool_size, shards, frontier, start_round, max_rounds,
             if frontier.empty:
                 break
             budget, deferred = _plan_round(frontier, cfg)
-        _stamp("plan")
         if budget.empty:
             break
 
         # drop anything already fetched; mark the rest seen (fetch intent)
         new_mask = _seen_check(shards, budget["url_hash"].to_numpy(), insert=True)
         budget = budget[new_mask].reset_index(drop=True)
-        _stamp("seen")
         if budget.empty:
             # dist-path deferred is a LAZY Dataset chain; materialize it
             # before it becomes the frontier, or next round's row-count
@@ -602,136 +580,53 @@ def _run_rounds(pool, pool_size, shards, frontier, start_round, max_rounds,
             os.makedirs(cand_dir, exist_ok=True)
 
         # Route each (sub-)host group to one actor (politeness: a host's
-        # token bucket never spans actors within a round). Two dispatch
-        # modes:
-        #
-        # - dynamic_dispatch (requires politeness_delay_s == 0, where the
-        #   per-host clock is a no-op so host→actor pinning buys
-        #   nothing): LATE-BINDING dispatch — whole part_key groups
-        #   coalesced into ~total/(3·pool) work units, fed to whichever
-        #   actor frees up. Shrinks the round-barrier straggler tail from
-        #   one static-LPT bucket to one unit. Measured: ~10% faster at
-        #   4-cpu pools (tail dominates), ~10-30% slower at 16-32 cpus
-        #   (per-unit probe/dispatch fixed cost dominates) — hence
-        #   opt-in, for small pools or skewed page-size rounds. Results
-        #   are identical: units are whole host groups, every budget row
-        #   processed once, candidate sets/counts chunking-invariant
-        #   (per-page-unique harvest); parity-tested vs the simulator.
-        #
-        # - default: deterministic LPT with STICKY host pinning so a
-        #   host's politeness clock follows it across rounds (advisor
-        #   finding from round 1: per-round LPT let hosts migrate and
-        #   reset their accounting).
+        # token bucket never spans actors within a round) by LPT on group
+        # rows. Without the tail, pins are sticky for the whole crawl, so
+        # a host's politeness clock follows it across rounds. With the
+        # tail on (politeness clocks are no-ops), rounds after the first
+        # re-pack ALL groups by speed-weighted LPT instead.
         groups = salted.groupby("part_key", sort=True)
         sizes = groups.size().sort_values(ascending=False, kind="mergesort")
-        _stamp("pack")
-        fold = None                         # set by the tail path only
-        plan_parts: list = []
-        if cfg.dynamic_dispatch and cfg.politeness_delay_s == 0:
-            grp_by_key = dict(list(groups))
-            # unit size: ~1/3 of a static per-actor bucket (tail shrinks
-            # 3x), rounded up to the worker's 512-row probe chunk when
-            # above it (ragged units pay a full parquet range-probe for
-            # the remainder). NO absolute floor: a floor of 1024 made a
-            # 1024-row seed round ONE unit — one busy actor, fifteen
-            # idle (measured 3.2 s vs sub-second).
-            unit_target = -(-len(salted) // max(1, pool_size * 3))
-            if unit_target > 512:
-                unit_target = -(-unit_target // 512) * 512
-            units: list[list[pd.DataFrame]] = []
-            cur: list[pd.DataFrame] = []
-            cur_rows = 0
-            for pk in sizes.index:          # biggest groups first
-                grp = grp_by_key[pk]
-                if cur and cur_rows + len(grp) > unit_target:
-                    units.append(cur)
-                    cur, cur_rows = [], 0
-                cur.append(grp)
-                cur_rows += len(grp)
-            if cur:
-                units.append(cur)
-            plan_parts = _dispatch_units(pool, units, round_dir, cand_dir)
+        assign: dict[int, int] = {}
+        if holdback and speed:
+            # minimize each actor's projected finish time rows/speed; with
+            # equal weights this IS plain LPT
+            med = float(np.median(list(speed.values())))
+            w = [max(speed.get(a, med), 1e-6) for a in range(pool_size)]
+            fin = [0.0] * pool_size
+            for pk, sz in sizes.items():
+                aid = min(range(pool_size),
+                          key=lambda a: (fin[a] + int(sz)) / w[a])
+                assign[pk] = aid
+                fin[aid] += int(sz)
         else:
-            use_tail = (cfg.tail_holdback_frac > 0
-                        and cfg.politeness_delay_s == 0 and pool_size > 1)
-            assign: dict[int, int] = {}
-            if use_tail and speed:
-                # speed-weighted LPT over ALL groups: minimize each
-                # actor's projected finish time rows/speed. Only on the
-                # zero-politeness tail path — host→actor pinning buys
-                # nothing there (clocks are no-ops) and placement never
-                # changes outputs (whole groups, per-page-unique
-                # harvest; parity-tested vs the simulator and vs
-                # frac=0). With equal weights this IS plain LPT.
-                med = float(np.median(list(speed.values())))
-                w = [max(speed.get(a, med), 1e-6)
-                     for a in range(pool_size)]
-                fin = [0.0] * pool_size
-                for pk, sz in sizes.items():
-                    aid = min(range(pool_size),
-                              key=lambda a: (fin[a] + int(sz)) / w[a])
-                    assign[pk] = aid
-                    fin[aid] += int(sz)
-            else:
-                loads = [0] * pool_size
-                # first honor sticky pins (and account their load) ...
-                for pk, sz in sizes.items():
-                    aid = sticky.get(pk)
-                    if aid is not None:
-                        assign[pk] = aid
-                        loads[aid] += int(sz)
-                # ... then LPT-pack only new keys onto least-loaded
-                # actors
-                for pk, sz in sizes.items():
-                    if pk in assign:
-                        continue
-                    aid = loads.index(min(loads))
+            loads = [0] * pool_size
+            # first honor sticky pins (and account their load) ...
+            for pk, sz in sizes.items():
+                aid = sticky.get(pk)
+                if aid is not None:
                     assign[pk] = aid
                     loads[aid] += int(sz)
-                sticky.update(assign)
-            per_actor: dict[int, list] = {}
-            for pk, grp in groups:
-                per_actor.setdefault(assign[pk], []).append(grp)
-            if use_tail:
-                # hybrid: static sticky head + late-binding tail pool
-                # (whole groups; see _dispatch_sticky_tail). The fold
-                # runs the post-fetch split/redirect scan during the
-                # dispatcher's ray.wait idle — see _PlanFold.
-                fold = _PlanFold()
-                plan_parts, disp_stats = _dispatch_sticky_tail(
-                    pool, per_actor, cfg.tail_holdback_frac, round_dir,
-                    cand_dir, phase_log=phase_log, rnd=rnd, fold=fold)
-                for aid, (rows, busy) in disp_stats.items():
-                    if rows > 0 and busy > 0.05:
-                        v = rows / busy
-                        speed[aid] = (0.5 * speed[aid] + 0.5 * v
-                                      if aid in speed else v)
-            else:
-                refs = []
-                ref_load = {}
-                for aid in sorted(per_actor):
-                    df = pd.concat(per_actor[aid], ignore_index=True)
-                    tbl = pa.Table.from_pandas(df, preserve_index=False)
-                    ref = pool[aid].process.remote(tbl, round_dir, cand_dir)
-                    refs.append(ref)
-                    ref_load[ref] = (aid, len(df))
-                if phase_log:
-                    # straggler forensics: per-actor completion offsets
-                    t_d = _time.perf_counter()
-                    remaining, comp = list(refs), []
-                    while remaining:
-                        done, remaining = ray.wait(remaining, num_returns=1)
-                        aid, rows = ref_load[done[0]]
-                        comp.append((aid, rows,
-                                     round(_time.perf_counter() - t_d, 2)))
-                    print(f"# round={rnd} actor_done={comp}",
-                          file=_sys.stderr)
-                plan_parts = [t for t in ray.get(refs) if t.num_rows]
-        _stamp("fetch")
-        if fold is None:                    # non-tail paths: batch fold
-            fold = _PlanFold()
-            for t in plan_parts:
-                fold.add(t)
+            # ... then LPT-pack only new keys onto least-loaded actors
+            for pk, sz in sizes.items():
+                if pk in assign:
+                    continue
+                aid = loads.index(min(loads))
+                assign[pk] = aid
+                loads[aid] += int(sz)
+            sticky.update(assign)
+        per_actor: dict[int, list] = {}
+        for pk, grp in groups:
+            per_actor.setdefault(assign[pk], []).append(grp)
+        # the fold runs the post-fetch split/redirect scan during the
+        # dispatcher's ray.wait idle — see _PlanFold
+        fold = _PlanFold()
+        busy = _dispatch_sticky_tail(pool, per_actor, holdback, round_dir,
+                                     cand_dir, fold)
+        for aid, (rows, span) in busy.items():
+            if rows > 0 and span > 0.05:
+                v = rows / span
+                speed[aid] = 0.5 * speed[aid] + 0.5 * v if aid in speed else v
 
         cand_df = fold.cand_df()
         if not cand_df.empty:
@@ -780,7 +675,6 @@ def _run_rounds(pool, pool_size, shards, frontier, start_round, max_rounds,
             .astype("int64")
         metrics["ok"] = metrics["host"].map(ok_by_host).fillna(0) \
             .astype("int64")
-        _stamp("post")
 
         # next frontier: deferred ∪ redirects ∪ new candidates, minus seen,
         # dedup by hash (priority: redirects 1.5 > depth-based candidates)
@@ -807,9 +701,6 @@ def _run_rounds(pool, pool_size, shards, frontier, start_round, max_rounds,
             # checkpoint IS the materialization; next round reads it back
             frontier = _checkpoint_round(ckpt_dir, rnd, frontier_ds,
                                          shards, metrics)
-            _stamp("frontier")
-            if phase_log:
-                print(f"# round={rnd} phases={_ph}", file=_sys.stderr)
             continue
 
         parts = [deferred]
@@ -847,9 +738,6 @@ def _run_rounds(pool, pool_size, shards, frontier, start_round, max_rounds,
             ckpt_pending.join()
         ckpt_pending = _checkpoint_round_async(ckpt_dir, rnd, frontier,
                                                shards, metrics)
-        _stamp("frontier")
-        if phase_log:
-            print(f"# round={rnd} phases={_ph}", file=_sys.stderr)
 
     if ckpt_pending is not None:
         ckpt_pending.join()
@@ -910,70 +798,48 @@ class _PlanFold:
 
 
 def _dispatch_sticky_tail(pool, per_actor, frac: float, round_dir: str,
-                          cand_dir, phase_log: bool = False,
-                          rnd: int = -1, fold: "_PlanFold | None" = None
-                          ) -> list:
-    """Hybrid dispatch: one static sticky head call per actor plus a
-    late-binding tail pool (config.tail_holdback_frac). Per actor, the
-    smallest WHOLE host-groups totalling ~frac of its rows are held back
-    and coalesced (in part_key order, for probe locality) into ~512-row
-    units tagged with their origin actor; the rest ships as the usual
-    single head call. When any call completes, the freed actor takes its
-    own next unit first — identical placement to pure sticky LPT when
+                          cand_dir, fold: _PlanFold) -> dict:
+    """The crawl's one dispatch: a static sticky head call per actor plus,
+    when ``frac > 0``, a late-binding tail. Per actor, the smallest WHOLE
+    host-groups totalling ~frac of its rows are held back and coalesced
+    (in part_key order, for probe locality) into ~512-row units; the rest
+    ships as one head call. When a call completes, the freed actor takes
+    its own next unit first — identical placement to pure sticky LPT when
     nothing straggles — and steals from the origin with the most backlog
-    only when its own queue is dry. Tail cost drops from one static
-    bucket (10-14% of fetch wall, per-page cost variance) to one unit,
-    while ~(1-frac) of the round still pays only one probe span per
-    actor. Whole groups only → a host never spans two actors within a
-    round (politeness invariant); callers gate on politeness_delay_s == 0
-    so cross-round clock migration is a no-op."""
-    import sys as _sys
+    only when its own queue is dry. Tail cost drops from one static bucket
+    (10-14% of fetch wall, per-page cost variance) to one unit, while
+    ~(1-frac) of the round still pays only one probe span per actor.
+
+    With ``frac == 0`` nothing is held back and nothing is stolen: one
+    call per actor holding exactly its assigned groups (pure sticky LPT,
+    safe under politeness). Whole groups only → a host never spans two
+    actors within a round; callers turn the tail on only at
+    politeness_delay_s == 0, where cross-round clock migration is a no-op.
+
+    Each result is folded into ``fold`` while the driver waits on the rest.
+    Returns per-actor (rows, busy-span seconds) for the caller's speed
+    EWMA."""
     import time as _time
     from collections import deque
 
     import ray
 
+    def concat(dfs: list[pd.DataFrame]) -> pd.DataFrame:
+        return pd.concat(dfs, ignore_index=True) if len(dfs) > 1 else dfs[0]
+
     own: dict[int, deque] = {}
     for aid, grps in per_actor.items():
-        total = sum(len(g) for g in grps)
-        target = int(total * frac)
-        by_size = sorted(range(len(grps)), key=lambda i: len(grps[i]))
+        target = int(sum(len(g) for g in grps) * frac)
         held: set[int] = set()
         held_rows = 0
-        for i in by_size:
+        for i in sorted(range(len(grps)), key=lambda i: len(grps[i])):
             # always keep at least one (the largest) group in the head
             if held_rows >= target or len(held) >= len(grps) - 1:
                 break
             held.add(i)
             held_rows += len(grps[i])
-        q = own.setdefault(aid, deque())
-
-        def pack(idxs, unit_rows: int):
-            cur: list[pd.DataFrame] = []
-            cur_rows = 0
-            for i in idxs:                  # part_key order → url locality
-                cur.append(grps[i])
-                cur_rows += len(grps[i])
-                if cur_rows >= unit_rows:
-                    q.append(pd.concat(cur, ignore_index=True)
-                             if len(cur) > 1 else cur[0])
-                    cur, cur_rows = [], 0
-            if cur:
-                q.append(pd.concat(cur, ignore_index=True)
-                         if len(cur) > 1 else cur[0])
-
-        # GRAFT_HEAD_UNIT chunks the head into stealable sub-units
-        # (experimental knob): with a single head call a host-scheduling
-        # straggler strands (1-frac) of its round behind one actor
-        # (measured: round-2 heads finishing 2.8-4.8 s apart at 16
-        # cpus), and chunks queued on the OWNING actor in order would be
-        # back-stealable once any actor runs dry. MEASURED A/B at 16
-        # cpus though: 3-chunk heads are ~5-10% SLOWER (per-unit probe
-        # remainders + queue gaps cost more than the straggler win —
-        # same lesson as pure late-binding), 2048-row chunks a wash — so
-        # the DEFAULT stays one monolithic head call per actor.
-        head_unit = int(os.environ.get("GRAFT_HEAD_UNIT", "0")) or (1 << 30)
-        pack([i for i in range(len(grps)) if i not in held], head_unit)
+        q = own[aid] = deque(
+            [concat([g for i, g in enumerate(grps) if i not in held])])
         # adaptive tail unit size: ~3 tail units per actor, clamped to
         # [128, 512]. At small pools the per-actor tail is large and
         # 512-row units already give ≥4 drain steps; at 13+ actors a
@@ -984,14 +850,24 @@ def _dispatch_sticky_tail(pool, per_actor, frac: float, round_dir: str,
         # for probe overhead (pure late-binding at 16-32 cpus measured
         # 10-30% slower on exactly that cost). Tail units sit at the
         # BACK of the queue, so back-steals lift the cheap units first.
-        unit_rows = int(os.environ.get("GRAFT_TAIL_UNIT", "0")) or \
-            min(512, max(128, held_rows // 3))
-        pack(sorted(held), unit_rows)
+        unit_rows = min(512, max(128, held_rows // 3))
+        cur: list[pd.DataFrame] = []
+        cur_rows = 0
+        for i in sorted(held):              # part_key order → url locality
+            cur.append(grps[i])
+            cur_rows += len(grps[i])
+            if cur_rows >= unit_rows:
+                q.append(concat(cur))
+                cur, cur_rows = [], 0
+        if cur:
+            q.append(concat(cur))
 
     def take_unit(aid: int) -> pd.DataFrame | None:
         q = own.get(aid)
         if q:
             return q.popleft()
+        if not frac:                        # pinned: never move a group
+            return None
         best, best_rows = None, 0
         for oid, oq in own.items():
             rows = sum(len(d) for d in oq)
@@ -1007,25 +883,15 @@ def _dispatch_sticky_tail(pool, per_actor, frac: float, round_dir: str,
         pending[pool[aid].process.remote(tbl, round_dir, cand_dir)] = \
             (aid, len(df))
 
+    # one call in flight per actor: a unit submitted behind a running
+    # head could never be stolen, re-creating the straggler barrier the
+    # tail exists to remove
     pending: dict = {}
-    # depth-2 initial fill (the _dispatch_units pattern): one unit
-    # executing + one queued per actor, so an actor starts its next
-    # chunk while the driver pulls the finished result — without it,
-    # chunked heads would pay a driver round-trip of idle per chunk.
-    # Depth 2 ONLY when heads are chunked: with a monolithic head the
-    # second fill pass would bind one TAIL unit behind every head at
-    # t=0, where a submitted unit can never be stolen — re-creating
-    # the straggler round barrier the late-binding tail exists to
-    # remove (review finding)
-    fill_depth = 2 if int(os.environ.get("GRAFT_HEAD_UNIT", "0")) else 1
-    for _ in range(fill_depth):
-        for aid in range(len(pool)):
-            df = take_unit(aid)
-            if df is not None:
-                submit(aid, df)
+    for aid in range(len(pool)):
+        df = take_unit(aid)
+        if df is not None:
+            submit(aid, df)
 
-    plan_parts: list = []
-    comp: list = []
     rows_done: dict[int, int] = {}
     last_done: dict[int, float] = {}
     t_d = _time.perf_counter()
@@ -1036,60 +902,15 @@ def _dispatch_sticky_tail(pool, per_actor, frac: float, round_dir: str,
         nxt = take_unit(aid)
         if nxt is not None:                 # refill BEFORE pulling result
             submit(aid, nxt)
-        off = _time.perf_counter() - t_d
         rows_done[aid] = rows_done.get(aid, 0) + rows
-        last_done[aid] = off
-        if phase_log:
-            comp.append((aid, rows, round(off, 2)))
+        last_done[aid] = _time.perf_counter() - t_d
         t = ray.get(ref)
-        if t.num_rows:
-            if fold is not None:            # overlap post-fold with wait
-                fold.add(t)
-            else:
-                plan_parts.append(t)
-    if phase_log:
-        print(f"# round={rnd} tail_done={comp}", file=_sys.stderr)
-    # per-actor (rows, busy-span) for the caller's speed EWMA: every
-    # actor's first call is submitted at t≈0, so its last completion
+        if t.num_rows:                      # overlap post-fold with wait
+            fold.add(t)
+    # every actor's first call is submitted at t≈0, so its last completion
     # offset approximates its busy span (small driver dispatch gaps
     # inflate all actors uniformly)
-    stats = {aid: (rows_done[aid], last_done[aid]) for aid in rows_done}
-    return plan_parts, stats
-
-
-def _dispatch_units(pool, units, round_dir: str, cand_dir) -> list:
-    """Late-binding work-unit dispatch (zero-politeness mode): keep a
-    depth-2 call queue per actor (one executing + one queued, so the
-    actor starts its next unit while the driver pulls the finished
-    result), hand the next unit to whichever actor completes one. Tail
-    cost = one unit, not one static bucket; binding one unit ahead costs
-    little tail (units ≈ 3× pool) and removes the per-unit idle gap the
-    depth-1 form paid on every result transfer."""
-    import ray
-
-    queue = list(units)
-    pending: dict = {}
-    plan_parts: list = []
-
-    def submit(aid: int) -> None:
-        if not queue:
-            return
-        df = pd.concat(queue.pop(0), ignore_index=True)
-        tbl = pa.Table.from_pandas(df, preserve_index=False)
-        pending[pool[aid].process.remote(tbl, round_dir, cand_dir)] = aid
-
-    for aid in range(len(pool)):
-        submit(aid)
-        submit(aid)
-    while pending:
-        done, _ = ray.wait(list(pending), num_returns=1)
-        for ref in done:
-            aid = pending.pop(ref)
-            submit(aid)              # refill BEFORE pulling the result
-            t = ray.get(ref)
-            if t.num_rows:
-                plan_parts.append(t)
-    return plan_parts
+    return {aid: (rows_done[aid], last_done[aid]) for aid in rows_done}
 
 
 def _as_frontier_ds(frontier):

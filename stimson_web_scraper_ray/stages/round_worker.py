@@ -87,10 +87,10 @@ class CrawlRoundWorker:
         chunks to ``extract_batch_size`` so a large per-actor bucket never
         holds more than one chunk of html + DOMs in memory.
 
-        With ``cand_dir`` set (distributed_planning), outlink candidates
-        are SPILLED to parquet there instead of returned — the driver
-        never sees candidate rows; planning reads them back as a
-        Dataset."""
+        With ``cand_dir`` set (a distributed-planning round: the frontier
+        outgrew ``planning_table_limit``), outlink candidates are SPILLED
+        to parquet there instead of returned — the driver never sees
+        candidate rows; planning reads them back as a Dataset."""
         n = batch.num_rows
         # chunk well above extract_batch_size: each chunk pays one parquet
         # range-probe ("network fetch") and writes one output part file, so

@@ -12,12 +12,13 @@ import pyarrow.parquet as pq
 import pytest
 
 from stimson_web_scraper_ray.config import EngineConfig
-from stimson_web_scraper_ray.pipelines.crawl import crawl, final_seen_hashes
+from stimson_web_scraper_ray.pipelines.crawl import (
+    TAIL_HOLDBACK_FRAC, crawl, final_seen_hashes)
 from stimson_web_scraper_ray.pipelines.sim import simulate_crawl
 from stimson_web_scraper_ray.sources.pages import pages_path_for, seed_urls
 
 CFG = EngineConfig(per_host_budget=30, round_budget=500, seen_shards=4,
-                   extract_concurrency=2, fetch_concurrency=2)
+                   extract_concurrency=2)
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +107,7 @@ def test_parallelism_invariance(ray_session, pages_path, seeds,
     """Same crawl with different shard count / pool sizes / budget split
     must fetch identical per-round sets (ordering invariant, SURVEY §2.9)."""
     cfg2 = EngineConfig(per_host_budget=30, round_budget=500, seen_shards=7,
-                        extract_concurrency=3, fetch_concurrency=1,
-                        extract_batch_size=16)
+                        extract_concurrency=3, extract_batch_size=16)
     out = str(tmp_path_factory.mktemp("crawl_alt"))
     res2 = crawl(pages_path, seeds, cfg2, out_dir=out, max_rounds=3)
     res1, _ = engine_result
@@ -168,19 +168,19 @@ def test_seen_shard_placement_and_resume(ray_session, pages_path, seeds,
 
 def test_distributed_planning_parity(ray_session, pages_path, seeds,
                                      tmp_path_factory):
-    """cfg.distributed_planning routes candidate dedup, seen filtering,
-    frontier construction and budget selection through Ray Data (salted
-    partitions + checkpoint-parquet frontier). A tiny round_budget forces
-    real deferral through the distributed anti-join; the run must match
-    the driver-pandas path (and hence the simulator) round for round."""
+    """Frontiers over planning_table_limit route candidate dedup, seen
+    filtering, frontier construction and budget selection through Ray Data
+    (salted partitions + checkpoint-parquet frontier). A tiny round_budget
+    forces real deferral through the distributed anti-join; the run must
+    match the driver-pandas path (and hence the simulator) round for
+    round."""
     import dataclasses
 
-    cfg_p = dataclasses.replace(CFG, round_budget=60,
-                                distributed_planning=False)
+    # default limit: these small frontiers plan on the driver
+    cfg_p = dataclasses.replace(CFG, round_budget=60)
     # planning_table_limit=0 forces the distributed machinery even at
-    # sandbox scale (the default fast path would plan on the driver)
+    # sandbox scale
     cfg_d = dataclasses.replace(CFG, round_budget=60,
-                                distributed_planning=True,
                                 planning_table_limit=0)
     out_p = str(tmp_path_factory.mktemp("crawl_pandas_small"))
     out_d = str(tmp_path_factory.mktemp("crawl_dist_small"))
@@ -194,53 +194,135 @@ def test_distributed_planning_parity(ray_session, pages_path, seeds,
     assert np.array_equal(seen_p, seen_d)
 
 
-def test_dynamic_dispatch_parity(ray_session, pages_path, seeds,
-                                 tmp_path_factory):
-    """cfg.dynamic_dispatch replaces sticky LPT pinning with late-binding
-    work-unit dispatch (legal at politeness_delay_s == 0). Unit
-    boundaries must not change WHAT is crawled: rounds and final seen
-    set identical to the pinned path (and hence the simulator)."""
-    import dataclasses
-
-    cfg_s = dataclasses.replace(CFG, round_budget=60)
-    cfg_d = dataclasses.replace(CFG, round_budget=60,
-                                dynamic_dispatch=True)
-    out_s = str(tmp_path_factory.mktemp("crawl_sticky"))
-    out_d = str(tmp_path_factory.mktemp("crawl_dyn"))
-    res_s = crawl(pages_path, seeds, cfg_s, out_dir=out_s, max_rounds=3)
-    res_d = crawl(pages_path, seeds, cfg_d, out_dir=out_d, max_rounds=3)
-    assert res_s.pages_fetched == res_d.pages_fetched
-    assert _round_urls(res_s.articles_path) == _round_urls(res_d.articles_path)
-    seen_s = final_seen_hashes(res_s.checkpoint_dir, 2, CFG.seen_shards)
-    seen_d = final_seen_hashes(res_d.checkpoint_dir, 2, CFG.seen_shards)
-    assert np.array_equal(seen_s, seen_d)
+def _assert_matches_simulator(res, pages_path, seeds, cfg):
+    """A 3-round crawl's per-round fetch sets equal simulate_crawl's;
+    returns the final seen set after checking it covers every simulated
+    fetch and matches res.seen_size."""
+    sim = simulate_crawl(pages_path, seeds, cfg, max_rounds=3)
+    sim_rounds = sim.groupby("round")["url"].apply(set).to_dict()
+    assert _round_urls(res.articles_path) == sim_rounds
+    seen = final_seen_hashes(res.checkpoint_dir, max(sim_rounds),
+                             cfg.seen_shards)
+    sim_seen = sim["url_hash"].to_numpy().astype(np.uint64)
+    assert np.isin(sim_seen, seen).all()
+    assert res.seen_size == len(seen)
+    return seen
 
 
 def test_tail_holdback_parity(ray_session, pages_path, seeds,
                               tmp_path_factory):
-    """Hybrid sticky-head + late-binding-tail dispatch
-    (cfg.tail_holdback_frac, the default path at politeness_delay_s == 0):
-    a forced-heavy tail (frac 0.5, every actor donating half its rows as
-    stealable units) must crawl the identical rounds and seen set as pure
-    sticky LPT (frac 0.0). Placement is a pure execution decision."""
+    """One worker (no tail: the benchmark's shape) and four workers at
+    politeness_delay_s == 0 (each actor holds back TAIL_HOLDBACK_FRAC of
+    its rows as stealable units) both crawl exactly the simulator's rounds
+    and end with equal seen sets. Placement is a pure execution
+    decision."""
     import dataclasses
 
-    cfg_off = dataclasses.replace(CFG, round_budget=60,
-                                  tail_holdback_frac=0.0)
-    cfg_on = dataclasses.replace(CFG, round_budget=60,
-                                 tail_holdback_frac=0.5,
-                                 extract_concurrency=4)
-    out_off = str(tmp_path_factory.mktemp("crawl_notail"))
-    out_on = str(tmp_path_factory.mktemp("crawl_tail"))
-    res_off = crawl(pages_path, seeds, cfg_off, out_dir=out_off,
-                    max_rounds=3)
-    res_on = crawl(pages_path, seeds, cfg_on, out_dir=out_on, max_rounds=3)
-    assert res_off.pages_fetched == res_on.pages_fetched
-    assert _round_urls(res_off.articles_path) == \
-        _round_urls(res_on.articles_path)
-    seen_off = final_seen_hashes(res_off.checkpoint_dir, 2, CFG.seen_shards)
-    seen_on = final_seen_hashes(res_on.checkpoint_dir, 2, CFG.seen_shards)
-    assert np.array_equal(seen_off, seen_on)
+    seen = []
+    for n in (1, 4):
+        cfg = dataclasses.replace(CFG, round_budget=60,
+                                  extract_concurrency=n)
+        out = str(tmp_path_factory.mktemp(f"crawl_pool{n}"))
+        res = crawl(pages_path, seeds, cfg, out_dir=out, max_rounds=3)
+        seen.append(_assert_matches_simulator(res, pages_path, seeds, cfg))
+    assert np.array_equal(seen[0], seen[1])
+
+
+def test_politeness_pinned_pool_matches_simulator(ray_session, pages_path,
+                                                  seeds, tmp_path_factory):
+    """politeness_delay_s > 0 on a 2-worker pool: the dispatch holds
+    nothing back and every host stays pinned to its worker. The politeness
+    clock is simulated, so this costs no wall time; the crawl still equals
+    the simulator round for round."""
+    import dataclasses
+
+    cfg = dataclasses.replace(CFG, politeness_delay_s=1.0,
+                              extract_concurrency=2)
+    out = str(tmp_path_factory.mktemp("crawl_polite"))
+    res = crawl(pages_path, seeds, cfg, out_dir=out, max_rounds=3)
+    _assert_matches_simulator(res, pages_path, seeds, cfg)
+
+
+@pytest.mark.parametrize("frac", [0.0, TAIL_HOLDBACK_FRAC, 0.5])
+def test_dispatch_sends_every_row_once(ray_session, frac):
+    """_dispatch_sticky_tail on a fake pool of 4 plain Ray actors, over two
+    rounds (idle actor 0 in the first, idle actors 0 and 1 in the second:
+    the idle ones are offered work before the busy ones). Every budget
+    row is sent exactly once, each part_key lands in exactly one call per
+    round, and every row reaches the fold. With nothing held back each
+    actor gets exactly one call holding exactly its assigned groups; with
+    a hold-back the tail adds calls where an actor has groups to spare."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray
+
+    from stimson_web_scraper_ray.pipelines.crawl import (
+        _dispatch_sticky_tail, _PlanFold)
+    from stimson_web_scraper_ray.stages.round_worker import PLAN_SCHEMA
+
+    class RecordingWorker:
+        """Stand-in round worker: records each process() batch's (part_key,
+        url) rows per round and returns one 'page' plan row per input row."""
+
+        def __init__(self):
+            self.calls: list[tuple[str, list]] = []
+
+        def process(self, batch, round_dir, cand_dir=None):
+            urls = batch["url_canon"].to_pylist()
+            self.calls.append((round_dir, list(zip(
+                batch["part_key"].to_pylist(), urls))))
+            n = len(urls)
+            cols = {name: [""] * n for name in PLAN_SCHEMA.names}
+            cols.update(kind=["page"] * n, url=urls, status=["ok"] * n,
+                        url_hash=[0] * n)
+            return pa.table({name: pa.array(cols[name],
+                                             PLAN_SCHEMA.field(name).type)
+                             for name in PLAN_SCHEMA.names})
+
+        def recorded(self):
+            return self.calls
+
+    pool = [ray.remote(RecordingWorker).options(num_cpus=0).remote()
+            for _ in range(4)]
+    rounds = {"r0": ([300, 5, 40, 7, 200, 1, 60, 600, 13, 90, 2, 150], 3),
+              "r1": ([700, 30], 2)}
+    try:
+        for rnd, (sizes, n_busy) in rounds.items():
+            per_actor: dict[int, list] = {}
+            for pk, size in enumerate(sizes):
+                grp = pd.DataFrame({
+                    "part_key": [pk] * size,
+                    "url_canon": [f"http://h{pk}.test/{i}"
+                                  for i in range(size)]})
+                per_actor.setdefault(3 - pk % n_busy, []).append(grp)
+            fold = _PlanFold()
+            busy = _dispatch_sticky_tail(pool, per_actor, frac, rnd, None,
+                                         fold)
+
+            calls = {aid: [rows for r, rows in ray.get(a.recorded.remote())
+                           if r == rnd] for aid, a in enumerate(pool)}
+            sent = [row for cs in calls.values() for rows in cs
+                    for row in rows]
+            budget = [(pk, f"http://h{pk}.test/{i}")
+                      for pk, size in enumerate(sizes) for i in range(size)]
+            assert sorted(sent) == sorted(budget)
+            keys_per_call = [{pk for pk, _ in rows}
+                             for cs in calls.values() for rows in cs]
+            for pk in range(len(sizes)):
+                assert sum(pk in ks for ks in keys_per_call) == 1
+            assert len(fold.page_df()) == len(budget)
+            assert sum(rows for rows, _ in busy.values()) == len(budget)
+            if frac == 0:
+                for aid, cs in calls.items():
+                    expect = {pk for pk in range(len(sizes))
+                              if 3 - pk % n_busy == aid}
+                    assert len(cs) == (1 if expect else 0)
+                    assert not cs or {pk for pk, _ in cs[0]} == expect
+            elif rnd == "r0":           # r1's actors hold one group each
+                assert len(keys_per_call) > n_busy
+    finally:
+        for a in pool:
+            ray.kill(a)
 
 
 def test_flagship_config_matches_simulator(ray_session, pages_path, seeds,
@@ -253,7 +335,7 @@ def test_flagship_config_matches_simulator(ray_session, pages_path, seeds,
     config to the same per-round fetch-set + seen-superset invariant."""
     cfg = EngineConfig(per_host_budget=40, round_budget=2000,
                        seen_shards=4, extract_concurrency=4,
-                       fetch_concurrency=2, planning_table_limit=0)
+                       planning_table_limit=0)
     out = str(tmp_path_factory.mktemp("crawl_flagship_cfg"))
     res = crawl(pages_path, seeds, cfg, out_dir=out, max_rounds=3)
     sim = simulate_crawl(pages_path, seeds, cfg, max_rounds=3)
@@ -277,7 +359,7 @@ def test_indegree_priority_matches_simulator(ray_session, pages_path,
     (non-vacuous: some candidates are cited more than once)."""
     seeds_l = seed_urls(pages_path)[:8]
     base_kw = dict(per_host_budget=8, round_budget=60, seen_shards=4,
-                   extract_concurrency=2, fetch_concurrency=2)
+                   extract_concurrency=2)
     cfg_on = EngineConfig(indegree_priority=True, **base_kw)
     cfg_off = EngineConfig(**base_kw)
 
@@ -289,10 +371,10 @@ def test_indegree_priority_matches_simulator(ray_session, pages_path,
                for r in on_rounds), "indegree signal changed nothing"
 
     for dist in (False, True):
-        cfg = EngineConfig(indegree_priority=True,
-                           distributed_planning=dist,
-                           planning_table_limit=0 if dist else 200_000,
-                           **base_kw)
+        # planning_table_limit=0 forces distributed planning; the default
+        # limit plans these small rounds on the driver
+        limit = {"planning_table_limit": 0} if dist else {}
+        cfg = EngineConfig(indegree_priority=True, **limit, **base_kw)
         out = str(tmp_path_factory.mktemp(f"crawl_indeg_{dist}"))
         res = crawl(pages_path, seeds_l, cfg, out_dir=out, max_rounds=3)
         engine_rounds = _round_urls(res.articles_path)
@@ -310,7 +392,7 @@ def test_indegree_priority_survives_resume(ray_session, pages_path,
     seeds_l = seed_urls(pages_path)[:8]
     cfg = EngineConfig(indegree_priority=True, per_host_budget=8,
                        round_budget=60, seen_shards=4,
-                       extract_concurrency=2, fetch_concurrency=2)
+                       extract_concurrency=2)
     out_full = str(tmp_path_factory.mktemp("crawl_indeg_full"))
     res_full = crawl(pages_path, seeds_l, cfg, out_dir=out_full,
                      max_rounds=3)
