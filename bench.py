@@ -205,8 +205,10 @@ def run_crawl_only() -> dict:
     # wall time at the low cpu level; keep the whole --scaling run bounded
     # GRAFT_CRAWL_WARM=1: steady-state mode — wait out per-actor process
     # spawn (~1.2 s × pool, an O(pool) fixed cost that lands on the hi
-    # scaling leg 4x harder than the lo leg) before the timer starts, as
-    # a long-lived cluster pool would have
+    # scaling leg 4x harder than the lo leg) before the timer starts. The
+    # engine keeps its worker pool across crawl() calls in one process,
+    # so only the first rep spawns; later reps reuse the pool and their
+    # spawn_sec is ≈0 (the workers' reset)
     warm = os.environ.get("GRAFT_CRAWL_WARM") == "1"
     for _ in range(int(os.environ.get("GRAFT_CRAWL_REPS", "1"))):
         shutil.rmtree(out_dir, ignore_errors=True)

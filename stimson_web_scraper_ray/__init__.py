@@ -7,7 +7,7 @@ file:line in docstrings) expressed as ``ray.data.Dataset`` pipelines:
 - ``functions/``  pure kernels (URL algebra, HTML extraction, text stats)
 - ``stages/``     ``map_batches`` batch transforms & actor-pool stages
 - ``sources/``    parquet readers / synthetic page-table generation
-- ``state/``      sharded seen-set (cuckoo filter) actors
+- ``state/``      hash-routed exact seen-set partitions
 - ``pipelines/``  crawl round loop, dedup, similarity, analytics
 
 Nothing in this package calls ``ray.init``/``ray.shutdown``; sessions are

@@ -17,7 +17,13 @@ Ray-Data-first layout (north rule / SURVEY.md §7):
 - each round writes ``round=N/{frontier,seen_shard_*,articles,metrics}``
   plus ``_SUCCESS`` — a killed job resumes from the last complete round
   (per-partition lineage: every metrics row carries (round, host, counts));
-- fetch runs on ONE persistent pool of round workers, fed by one dispatch,
+- the round workers form one pool per driver process: a crawl takes the
+  idle pool a previous ``crawl()`` left (same Ray session, same pool
+  size), ``reset``s each worker to fresh per-crawl state and hands it back
+  on return, so only the first crawl in a process pays the worker spawn
+  (``close_pool`` kills it; ``ray.shutdown()`` ends it; a worker that
+  died while idle makes the next crawl spawn a new pool);
+- fetch runs on that persistent pool of round workers, fed by one dispatch,
   ``_dispatch_sticky_tail``: the round's (sub-)host groups are LPT-packed
   onto actors and each actor gets one head call. Only when
   ``politeness_delay_s == 0`` and the pool has more than one worker does
@@ -35,6 +41,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,15 +74,101 @@ class CrawlResult:
     checkpoint_dir: str
     seen_size: int
     # wall seconds from crawl() entry to the start of round execution
-    # (output-dir reset, pool creation, frontier build, seen-set restore;
-    # plus the spawn barrier under warm_pool)
+    # (output-dir reset, pool creation or reset, frontier build, seen-set
+    # restore; plus the spawn barrier under warm_pool)
     setup_sec: float = 0.0
-    # wall seconds of ONLY the worker-pool creation→ping window — the
-    # one-time actor-process spawn barrier a long-lived cluster pool
-    # would not re-pay per crawl. Steady-state measurements subtract
-    # THIS, not setup_sec: the rest of setup (rmtree, frontier, seen-set
-    # restore) recurs on every crawl even with a warm cluster.
+    # wall seconds of ONLY the worker-pool window: creation→ping for a
+    # spawned pool (the one-time actor-process spawn barrier), the
+    # workers' reset for a pool kept from the previous crawl, so ≈0 on
+    # reuse. Steady-state measurements subtract THIS, not setup_sec: the
+    # rest of setup (rmtree, frontier, seen-set restore) recurs on every
+    # crawl.
     spawn_sec: float = 0.0
+
+
+# the idle round-worker pool a finished crawl() leaves for the next one:
+# ((Ray session, pool size), [actor handles]) or None. Only _swap_pool
+# reads or writes it, under the lock, so two concurrent crawls never
+# share a pool.
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _ray_session():
+    """(driver node id, job id): the node id changes when a local Ray
+    restarts, the job id with every ray.init on a running cluster, and
+    the actors a driver created die with its job."""
+    import ray
+
+    ctx = ray.get_runtime_context()
+    return ctx.get_node_id(), ctx.get_job_id()
+
+
+def _swap_pool(new):
+    """Cache ``new`` (or None) in place of the cached pool; returns the
+    pool it replaced."""
+    global _POOL
+    with _POOL_LOCK:
+        old, _POOL = _POOL, new
+    return old
+
+
+def _kill(pool) -> None:
+    import ray
+
+    for actor in pool:
+        ray.kill(actor)
+
+
+def _release_pool(cached) -> None:
+    """Kill a cached pool's actors. Handles from an earlier Ray session
+    are only dropped: their actors ended with it."""
+    import ray
+
+    if cached is not None and ray.is_initialized() and \
+            cached[0][0] == _ray_session():
+        _kill(cached[1])
+
+
+def _take_pool(key):
+    """Pop the cached pool; returns its actors when it was built under
+    ``key`` (Ray session, pool size), else releases it and returns None."""
+    cached = _swap_pool(None)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    _release_pool(cached)
+    return None
+
+
+def _put_pool(key, pool) -> None:
+    """Cache ``pool`` for the next crawl, releasing any pool cached
+    meanwhile (by a concurrent crawl)."""
+    _release_pool(_swap_pool((key, pool)))
+
+
+def _reset_pool(pool, pages_path, cfg, seen_ids):
+    """Reset a taken pool's workers for a new crawl and return it; None
+    when there was no pool or one of its workers died while idle (node
+    lost, OOM kill), in which case the whole pool is killed."""
+    import ray
+
+    if pool is None:
+        return None
+    try:
+        ray.get([a.reset.remote(pages_path, cfg, cfg.politeness_delay_s, ids)
+                 for a, ids in zip(pool, seen_ids)])
+        return pool
+    except BaseException as e:
+        _kill(pool)
+        if isinstance(e, ray.exceptions.RayActorError):
+            return None
+        raise
+
+
+def close_pool() -> None:
+    """Kill the idle round-worker pool kept for the next crawl() and give
+    its processes' memory back (the next crawl spawns a new pool)."""
+    _release_pool(_swap_pool(None))
 
 
 def _frontier_from_seeds(seeds: list[str]) -> pd.DataFrame:
@@ -398,11 +491,13 @@ def crawl(pages_path: str, seeds: list[str], cfg: EngineConfig | None = None,
           resume: bool = False, warm_pool: bool = False) -> CrawlResult:
     """Run the crawl. Requires an initialised Ray session (caller owns it).
 
-    ``warm_pool=True`` blocks until every pool actor's process is up
-    before round 0 (steady-state mode: on a long-lived cluster the pool
-    outlives many crawls, so per-actor process spawn — ~1.2 s × pool
-    size, paid inside round 0's fetch otherwise — is a one-time cost,
-    not a per-crawl one)."""
+    The round-worker pool outlives the call: the next crawl() in this
+    process, in the same Ray session and with the same pool size, reuses
+    it (see ``close_pool``). ``warm_pool=True`` blocks until every pool
+    actor's process is up before round 0, so it matters only for the
+    first crawl in a process (or after a pool-size change): per-actor
+    process spawn — ~1.2 s × pool size, paid inside round 0's first
+    seen-set call otherwise — is then moved out of the rounds."""
     import ray
 
     import shutil
@@ -420,7 +515,8 @@ def crawl(pages_path: str, seeds: list[str], cfg: EngineConfig | None = None,
 
     # ONE persistent pool of fused round workers for the whole crawl
     # (stages/round_worker.py: fetch → extract → write → harvest; html
-    # never leaves the actor). Raw Ray actors instead of a per-round
+    # never leaves the actor), kept for the next crawl too (_take_pool /
+    # _put_pool). Raw Ray actors instead of a per-round
     # map_batches pool — the Dataset API tears actor state down at the end
     # of every execution, but politeness clocks, robots caches, parquet
     # handles, warm extraction state and the seen shards must SURVIVE
@@ -440,16 +536,23 @@ def crawl(pages_path: str, seeds: list[str], cfg: EngineConfig | None = None,
     # bounded by pool_size (one process() call per actor), capped at the
     # session's CPUs. SPREAD placement keeps the declared-zero actors even
     # across nodes, where the default policy would pack them onto one.
-    avail_cpus = int(ray.available_resources().get("CPU", 1))
-    pool_size = max(1, min(cfg.extract_concurrency, avail_cpus))
-    worker_cls = ray.remote(CrawlRoundWorker).options(
-        num_cpus=0, scheduling_strategy="SPREAD")
+    # The cap reads the session's total CPUs, not the ones free right now:
+    # a free count dips while a finished Dataset releases its tasks, and a
+    # pool size that moves with it would replace the kept pool for nothing.
+    session_cpus = int(ray.cluster_resources().get("CPU", 1))
+    pool_size = max(1, min(cfg.extract_concurrency, session_cpus))
+    key = (_ray_session(), pool_size)
+    seen_ids = [range(i, cfg.seen_shards, pool_size) for i in range(pool_size)]
     _t_spawn = _time.perf_counter()
-    pool = [worker_cls.remote(
-                pages_path=pages_path, round_dir="", config=cfg,
-                politeness_delay_s=cfg.politeness_delay_s,
-                seen_ids=range(i, cfg.seen_shards, pool_size))
-            for i in range(pool_size)]
+    pool = _reset_pool(_take_pool(key), pages_path, cfg, seen_ids)
+    if pool is None:
+        worker_cls = ray.remote(CrawlRoundWorker).options(
+            num_cpus=0, scheduling_strategy="SPREAD")
+        pool = [worker_cls.remote(
+                    pages_path=pages_path, round_dir="", config=cfg,
+                    politeness_delay_s=cfg.politeness_delay_s,
+                    seen_ids=ids)
+                for ids in seen_ids]
     # shards[sid](op, *args): ref of seen-set op on shard sid, which lives
     # in worker sid % pool_size (CrawlRoundWorker.seen_op)
     shards = [functools.partial(pool[sid % pool_size].seen_op.remote, sid)
@@ -476,11 +579,12 @@ def crawl(pages_path: str, seeds: list[str], cfg: EngineConfig | None = None,
         total_fetched = _run_rounds(
             pool, pool_size, shards, frontier, start_round, max_rounds,
             cfg, articles_dir, ckpt_dir)
-        # read before the finally kills the workers that hold the shards
         seen_size = sum(ray.get([s("size") for s in shards]))
-    finally:
-        for actor in pool:
-            ray.kill(actor)
+    except BaseException:
+        # a pool left mid-round is in an unknown state: never reuse it
+        _kill(pool)
+        raise
+    _put_pool(key, pool)
 
     return CrawlResult(
         rounds=max_rounds, pages_fetched=total_fetched,

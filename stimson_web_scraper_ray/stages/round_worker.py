@@ -19,6 +19,13 @@ dataset is (part_key, url)-sorted and repartitioned upstream exactly as
 before, so each batch remains one (sub-)host's contiguous url range.
 
 The worker also hosts seen-set shards (``seen_op``): no process of their own.
+
+A worker outlives one crawl: ``pipelines.crawl`` keeps its pool for the
+next ``crawl()`` in the same process and calls ``reset`` on each worker,
+which rebuilds every per-crawl object (seen shards, Fetcher) and keeps
+only what is costly to make and holds no crawl state: the process, its
+imports, the warmed parquet writer and, under an unchanged config, the
+extraction stage.
 """
 
 from __future__ import annotations
@@ -52,17 +59,33 @@ class CrawlRoundWorker:
     def __init__(self, pages_path: str, round_dir: str,
                  config: EngineConfig | None = None,
                  politeness_delay_s: float = 0.0, seen_ids=()):
-        self.cfg = config or EngineConfig()
-        # the seen-set shards this worker hosts, by shard id
-        self.seen = {sid: SeenShard(sid) for sid in seen_ids}
-        self.fetcher = Fetcher(pages_path, politeness_delay_s)
-        self.extract = ExtractArticles(self.cfg)
         self.round_dir = round_dir
+        self.cfg = self.extract = None
         # warm pyarrow's lazy parquet-writer machinery at spawn (an
         # in-memory write; first real write otherwise pays ~0.34 s of
         # one-time module init on round 0's critical path — measured)
         import io
         pq.write_table(PLAN_SCHEMA.empty_table(), io.BytesIO())
+        self.reset(pages_path, config, politeness_delay_s, seen_ids)
+
+    def reset(self, pages_path: str, config: EngineConfig | None = None,
+              politeness_delay_s: float = 0.0, seen_ids=()) -> int:
+        """Start a new crawl in this process: fresh seen-set shards for
+        ``seen_ids`` and a fresh Fetcher (politeness clocks, robots cache,
+        open parquet files) over ``pages_path``; the extraction stage is
+        rebuilt only when the config changed. The previous crawl's objects
+        are dropped before the new ones are built, so a reset worker holds
+        exactly what a freshly spawned one does."""
+        cfg = config or EngineConfig()
+        self.seen = self.fetcher = None
+        # the seen-set shards this worker hosts, by shard id
+        self.seen = {sid: SeenShard(sid) for sid in seen_ids}
+        self.fetcher = Fetcher(pages_path, politeness_delay_s)
+        if cfg != self.cfg:
+            self.extract = None
+            self.extract = ExtractArticles(cfg)
+        self.cfg = cfg
+        return 0
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return self.process(batch, self.round_dir)

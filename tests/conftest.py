@@ -1,4 +1,5 @@
 import os
+import sys
 
 import pytest
 
@@ -21,6 +22,17 @@ def ray_session():
         )
     yield
     ray.shutdown()
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _close_crawl_pool():
+    """Kill the idle round-worker pool a module's crawls leave behind
+    (test_crawl's, test_oracle's entry() and crawl_parity), so its
+    processes do not sit beside later modules' tests."""
+    yield
+    crawl_mod = sys.modules.get("stimson_web_scraper_ray.pipelines.crawl")
+    if crawl_mod is not None:
+        crawl_mod.close_pool()
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 simulator — seen set, per-round fetch sets, golden text, and kill+resume
 (SURVEY.md §5 items 3-4)."""
 
+import dataclasses
 import glob
 import os
 import shutil
@@ -12,8 +13,9 @@ import pyarrow.parquet as pq
 import pytest
 
 from stimson_web_scraper_ray.config import EngineConfig
+from stimson_web_scraper_ray.pipelines import crawl as crawl_mod
 from stimson_web_scraper_ray.pipelines.crawl import (
-    TAIL_HOLDBACK_FRAC, crawl, final_seen_hashes)
+    TAIL_HOLDBACK_FRAC, close_pool, crawl, final_seen_hashes)
 from stimson_web_scraper_ray.pipelines.sim import simulate_crawl
 from stimson_web_scraper_ray.sources.pages import pages_path_for, seed_urls
 
@@ -142,8 +144,6 @@ def test_seen_shard_placement_and_resume(ray_session, pages_path, seeds,
     on 2 workers leaves one worker with none. Either way the crawl equals
     the simulator, seen_size counts the final snapshot, and a run killed
     after round 0 then resumed reproduces the full run's seen set."""
-    import dataclasses
-
     cfg = dataclasses.replace(CFG, seen_shards=n_shards,
                               extract_concurrency=2)
     out = str(tmp_path_factory.mktemp(f"crawl_place{n_shards}"))
@@ -174,8 +174,6 @@ def test_distributed_planning_parity(ray_session, pages_path, seeds,
     forces real deferral through the distributed anti-join; the run must
     match the driver-pandas path (and hence the simulator) round for
     round."""
-    import dataclasses
-
     # default limit: these small frontiers plan on the driver
     cfg_p = dataclasses.replace(CFG, round_budget=60)
     # planning_table_limit=0 forces the distributed machinery even at
@@ -216,8 +214,6 @@ def test_tail_holdback_parity(ray_session, pages_path, seeds,
     its rows as stealable units) both crawl exactly the simulator's rounds
     and end with equal seen sets. Placement is a pure execution
     decision."""
-    import dataclasses
-
     seen = []
     for n in (1, 4):
         cfg = dataclasses.replace(CFG, round_budget=60,
@@ -234,8 +230,6 @@ def test_politeness_pinned_pool_matches_simulator(ray_session, pages_path,
     nothing back and every host stays pinned to its worker. The politeness
     clock is simulated, so this costs no wall time; the crawl still equals
     the simulator round for round."""
-    import dataclasses
-
     cfg = dataclasses.replace(CFG, politeness_delay_s=1.0,
                               extract_concurrency=2)
     out = str(tmp_path_factory.mktemp("crawl_polite"))
@@ -434,3 +428,258 @@ def test_warm_pool_parity(ray_session, pages_path, seeds, tmp_path_factory):
     assert res_w.pages_fetched == res_c.pages_fetched
     assert _round_urls(res_w.articles_path) == _round_urls(res_c.articles_path)
     assert res_w.setup_sec > 0
+
+
+def _cached_pool():
+    """Actor handles of the idle pool kept for the next crawl (or [])."""
+    return crawl_mod._POOL[1] if crawl_mod._POOL is not None else []
+
+
+def _actor_ids(pool):
+    return [a._actor_id.hex() for a in pool]
+
+
+def _assert_dead(pool, within_s=60.0):
+    """Every actor's ping fails within ``within_s`` (ray.kill is
+    asynchronous: a call made right after it may still run)."""
+    import time
+
+    import ray
+
+    deadline = time.monotonic() + within_s
+    for actor in pool:
+        while True:
+            try:
+                ray.get(actor.ping.remote(), timeout=within_s)
+            except ray.exceptions.RayActorError:
+                break
+            assert time.monotonic() < deadline, f"{actor} still alive"
+            time.sleep(0.05)
+
+
+def test_pool_reused_across_crawls(ray_session, pages_path, seeds,
+                                   tmp_path_factory, monkeypatch):
+    """Two crawls back to back on one pool size, with different seeds,
+    politeness and seen-shard counts, run on the same actors, even when
+    fewer CPUs are free at the second start; the second crawl's seen set
+    equals that of the same crawl on a freshly spawned pool, so nothing
+    of the first crawl's state survives the reset."""
+    import ray
+
+    cfg1 = dataclasses.replace(CFG, extract_concurrency=2, seen_shards=4,
+                               politeness_delay_s=1.0)
+    cfg2 = dataclasses.replace(CFG, extract_concurrency=2, seen_shards=3)
+    seeds1, seeds2 = seeds[::2], seeds[1::2]
+
+    close_pool()
+    out = str(tmp_path_factory.mktemp("crawl_reuse_ref"))
+    seen_ref = _assert_matches_simulator(
+        crawl(pages_path, seeds2, cfg2, out_dir=out, max_rounds=3),
+        pages_path, seeds2, cfg2)
+
+    close_pool()
+    out1 = str(tmp_path_factory.mktemp("crawl_reuse1"))
+    res1 = crawl(pages_path, seeds1, cfg1, out_dir=out1, max_rounds=3)
+    ids = _actor_ids(_cached_pool())
+    assert len(ids) == 2
+    seen1 = _assert_matches_simulator(res1, pages_path, seeds1, cfg1)
+
+    out2 = str(tmp_path_factory.mktemp("crawl_reuse2"))
+    monkeypatch.setattr(ray, "available_resources", lambda: {"CPU": 1.0})
+    res2 = crawl(pages_path, seeds2, cfg2, out_dir=out2, max_rounds=3)
+    assert _actor_ids(_cached_pool()) == ids
+    assert res2.spawn_sec < 1.0
+    seen2 = _assert_matches_simulator(res2, pages_path, seeds2, cfg2)
+    assert np.array_equal(seen2, seen_ref)
+    assert not np.array_equal(seen1, seen2)
+
+
+def test_pool_size_change_replaces_pool(ray_session, pages_path, seeds,
+                                        tmp_path_factory):
+    """A crawl with another pool size kills the cached pool and spawns its
+    own; both crawls equal the simulator."""
+    cfg1 = dataclasses.replace(CFG, extract_concurrency=1)
+    cfg2 = dataclasses.replace(CFG, extract_concurrency=2)
+    out1 = str(tmp_path_factory.mktemp("crawl_size1"))
+    _assert_matches_simulator(
+        crawl(pages_path, seeds, cfg1, out_dir=out1, max_rounds=3),
+        pages_path, seeds, cfg1)
+    old = _cached_pool()
+    assert len(old) == 1
+    out2 = str(tmp_path_factory.mktemp("crawl_size2"))
+    _assert_matches_simulator(
+        crawl(pages_path, seeds, cfg2, out_dir=out2, max_rounds=3),
+        pages_path, seeds, cfg2)
+    new = _cached_pool()
+    assert len(new) == 2
+    assert not set(_actor_ids(old)) & set(_actor_ids(new))
+    _assert_dead(old)
+
+
+def test_failed_crawl_caches_no_pool(ray_session, pages_path, seeds,
+                                     tmp_path_factory, monkeypatch):
+    """A crawl that raises after round 0 kills the pool it took and caches
+    none; the next crawl spawns a fresh pool and equals the simulator."""
+    cfg = dataclasses.replace(CFG, extract_concurrency=2)
+    out = str(tmp_path_factory.mktemp("crawl_fail_warm"))
+    crawl(pages_path, seeds, cfg, out_dir=out, max_rounds=1)
+    taken = _cached_pool()
+    assert len(taken) == 2
+
+    plan = crawl_mod._plan_round
+    calls = []
+
+    def plan_then_fail(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("planning failed in round 1")
+        return plan(*args, **kwargs)
+
+    monkeypatch.setattr(crawl_mod, "_plan_round", plan_then_fail)
+    out = str(tmp_path_factory.mktemp("crawl_fail"))
+    with pytest.raises(RuntimeError, match="round 1"):
+        crawl(pages_path, seeds, cfg, out_dir=out, max_rounds=3)
+    monkeypatch.setattr(crawl_mod, "_plan_round", plan)
+    assert crawl_mod._POOL is None
+    _assert_dead(taken)
+
+    out = str(tmp_path_factory.mktemp("crawl_after_fail"))
+    res = crawl(pages_path, seeds, cfg, out_dir=out, max_rounds=3)
+    assert not set(_actor_ids(_cached_pool())) & set(_actor_ids(taken))
+    _assert_matches_simulator(res, pages_path, seeds, cfg)
+
+
+def test_dead_idle_worker_respawns_pool(ray_session, pages_path, seeds,
+                                        tmp_path_factory):
+    """A cached worker that died while idle (its node lost, an OOM kill)
+    fails the pool's reset: the next crawl kills the rest of that pool,
+    spawns a new one and equals the simulator."""
+    import ray
+
+    cfg = dataclasses.replace(CFG, extract_concurrency=2)
+    out = str(tmp_path_factory.mktemp("crawl_dead_warm"))
+    crawl(pages_path, seeds, cfg, out_dir=out, max_rounds=1)
+    old = _cached_pool()
+    assert len(old) == 2
+    ray.kill(old[0])
+    _assert_dead(old[:1])
+
+    out = str(tmp_path_factory.mktemp("crawl_dead"))
+    res = crawl(pages_path, seeds, cfg, out_dir=out, max_rounds=3)
+    assert not set(_actor_ids(_cached_pool())) & set(_actor_ids(old))
+    _assert_dead(old)
+    _assert_matches_simulator(res, pages_path, seeds, cfg)
+
+
+RESTART_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import ray
+from stimson_web_scraper_ray.config import EngineConfig
+from stimson_web_scraper_ray.pipelines import crawl as crawl_mod
+
+def init():
+    ray.init(address="local", num_cpus=2, include_dashboard=False,
+             logging_level="ERROR", log_to_driver=False)
+
+cfg, pages, seeds = EngineConfig(
+    per_host_budget=30, round_budget=500, seen_shards=2,
+    extract_concurrency=1), sys.argv[2], json.loads(sys.argv[3])
+init()
+crawl_mod.crawl(pages, seeds, cfg, out_dir=sys.argv[4] + "/a", max_rounds=3)
+stale = {a._actor_id for a in crawl_mod._POOL[1]}
+ray.shutdown()
+init()
+killed, kill = [], ray.kill
+def recording_kill(actor, *a, **k):
+    killed.append(actor._actor_id)
+    return kill(actor, *a, **k)
+ray.kill = recording_kill
+res = crawl_mod.crawl(pages, seeds, cfg, out_dir=sys.argv[4] + "/b",
+                      max_rounds=3)
+fresh = {a._actor_id for a in crawl_mod._POOL[1]}
+crawl_mod.close_pool()
+print(json.dumps({"stale_killed": len(stale & set(killed)),
+                  "fresh_killed": len(fresh & set(killed)),
+                  "shared": len(stale & fresh),
+                  "articles": res.articles_path,
+                  "checkpoints": res.checkpoint_dir,
+                  "seen_size": res.seen_size}))
+ray.shutdown()
+"""
+
+
+def test_pool_after_ray_restart(pages_path, seeds, tmp_path):
+    """In a fresh process: crawl, ray.shutdown(), ray.init(), crawl again.
+    The second crawl spawns its own pool, never calls a handle of the
+    first session's pool, and equals the simulator."""
+    import json
+    import subprocess
+    import sys
+    import types
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", RESTART_SCRIPT, repo, pages_path,
+         json.dumps(seeds), str(tmp_path)],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["stale_killed"] == 0
+    assert out["fresh_killed"] == 1
+    assert out["shared"] == 0
+
+    res = types.SimpleNamespace(articles_path=out["articles"],
+                                checkpoint_dir=out["checkpoints"],
+                                seen_size=out["seen_size"])
+    cfg = EngineConfig(per_host_budget=30, round_budget=500, seen_shards=2,
+                       extract_concurrency=1)
+    _assert_matches_simulator(res, pages_path, seeds, cfg)
+
+
+def test_concurrent_crawls_never_share_a_pool(ray_session, pages_path, seeds,
+                                              tmp_path_factory, monkeypatch):
+    """Two crawl() calls on threads, both running their rounds at once,
+    get disjoint pools (one takes the cached pool, the other spawns); the
+    pool returned last stays cached and the other is killed."""
+    import threading
+
+    cfg = dataclasses.replace(CFG, extract_concurrency=2)
+    out = str(tmp_path_factory.mktemp("crawl_conc_warm"))
+    crawl(pages_path, seeds, cfg, out_dir=out, max_rounds=1)
+
+    run_rounds = crawl_mod._run_rounds
+    both_running = threading.Barrier(2, timeout=120)
+    pools = {}
+
+    def recording_run_rounds(pool, *args):
+        pools[threading.get_ident()] = list(pool)
+        both_running.wait()
+        return run_rounds(pool, *args)
+
+    monkeypatch.setattr(crawl_mod, "_run_rounds", recording_run_rounds)
+    results, errors = {}, []
+
+    def run(name):
+        try:
+            out = str(tmp_path_factory.mktemp(f"crawl_conc_{name}"))
+            results[name] = crawl(pages_path, seeds, cfg, out_dir=out,
+                                  max_rounds=3)
+        except BaseException as e:      # surfaced below
+            errors.append(e)
+
+    threads = [threading.Thread(target=run, args=(n,)) for n in "ab"]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=600)
+    assert not errors, errors
+    p1, p2 = (_actor_ids(p) for p in pools.values())
+    assert len(p1) == len(p2) == 2
+    assert not set(p1) & set(p2)
+    cached = _actor_ids(_cached_pool())
+    assert cached in (p1, p2)
+    _assert_dead(next(p for p in pools.values()
+                      if _actor_ids(p) != cached))
+    for res in results.values():
+        _assert_matches_simulator(res, pages_path, seeds, cfg)

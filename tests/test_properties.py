@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from stimson_web_scraper_ray.functions import dom, urlnorm
 from stimson_web_scraper_ray.functions.extract import extract_article
 from stimson_web_scraper_ray.pipelines.dedup import jaccard, shingle_hashes, simhash64
-from stimson_web_scraper_ray.state.seen import CuckooFilter, SeenShard
+from stimson_web_scraper_ray.state.seen import SeenShard
 
 url_paths = st.text(
     alphabet=st.sampled_from("abcdefghij0123456789-_/."), min_size=0,
@@ -71,20 +71,10 @@ def test_extract_article_never_raises_bytes(payload):
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1),
-                min_size=1, max_size=200, unique=True))
-@settings(max_examples=50, deadline=None)
-def test_cuckoo_no_false_negatives_property(keys):
-    arr = np.array(keys, dtype=np.uint64)
-    f = CuckooFilter(capacity=max(1024, 2 * len(arr)))
-    f.insert(arr)
-    assert f.contains(arr).all()
-
-
-@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1),
                 min_size=1, max_size=100))
 @settings(max_examples=50, deadline=None)
 def test_seen_shard_first_sighting_exactly_once(keys):
-    shard = SeenShard(0, capacity=1024)
+    shard = SeenShard(0)
     arr = np.array(keys, dtype=np.uint64)
     mask = shard.check_and_insert(arr)
     # each distinct key is new exactly once
