@@ -2960,8 +2960,8 @@ def _q_trade_components(sf_dir: str):
 
 def _q_kcore_decomposition(sf_dir: str):
     """k-core decomposition hard gate: the engine's distributed peel
-    (graph.core_decomposition — index-encoded edge Dataset, one
-    streamed bincount wave per removal round, alive bitmap broadcast)
+    (graph.core_decomposition — one streamed live-degree step per
+    removal wave, alive mask broadcast)
     must EQUAL an independent single-process Batagelj–Žaberšnik-style
     exact peel over the same trade edges, recomputed here from a
     driver pull of the edge list (gate scale only — the engine path is
@@ -3349,9 +3349,8 @@ def _q_trade_pagerank_weighted(sf_dir: str):
     flows proportionally to per-edge trade intensity w/Σ_out w — the
     anchor-count-weighted host-rank algebra over the bidirectional
     trade graph (edge weight = lineitem rows between the pair). Same
-    two-path engine as unweighted (bincount weights on the broadcast
-    side, Sum-aggregate out-strength on the Dataset side); chained
-    weighted-CTE oracle, 6-dp rounding."""
+    vertex program as unweighted (the out-degree step sums weights,
+    not ones); chained weighted-CTE oracle, 6-dp rounding."""
     from stimson_web_scraper_ray.pipelines.graph import (
         trade_pagerank_weighted,
     )

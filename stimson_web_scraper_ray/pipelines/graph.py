@@ -1,4 +1,4 @@
-"""Link-graph analytics: distributed PageRank power iteration.
+"""Link-graph analytics over (src:int64, dst:int64) edge Datasets.
 
 Crawl context: PageRank over the host/outlink graph is the classic
 frontier-prioritization signal (the reference's `valid_url` policy,
@@ -7,28 +7,492 @@ score decides WHICH to fetch first — SURVEY.md §2.6 O6). The engine's
 crawl harvests the (src_host, dst_host) edges anyway; this module turns
 them into scores with the same algebra at any scale.
 
-Scale shape: each iteration is one streamed pass over the edge Dataset
-(`map_batches` computing per-batch PARTIAL contribution sums via
-bincount) followed by one node-scaled `groupby(node).Sum` — the edges
-never leave the object store, nothing edge-scaled touches the driver.
-The rank/degree vectors are broadcast once per iteration via `ray.put`
-(node-scaled, the small side by graph-theory: |V| ≪ |E|). If the node
-table itself outgrew worker heap (10^9+ hosts), the identical algebra
-runs as a `hash_join(edges, ranks, on=src)` exchange per iteration —
-the broadcast is a size-triggered optimization, not a structural
-assumption.
+The iterative operators — ``pagerank`` (plain, personalized, weighted),
+``hits``, ``core_decomposition``, ``strongly_connected_components``,
+``label_propagation`` and ``shortest_paths`` — are each ONE driver
+loop of vertex-program steps: a step sends a message along every live
+edge (a value computed from the sending endpoint's state), combines
+the messages per receiving node (sum / max / min / plurality vote),
+and applies a node-table update. ``_graph`` materializes the edges,
+discovers the node universe (``_node_universe_switch``) and picks the
+backend by |V| against ``node_broadcast_limit``:
 
-The oracle in `__ray_entry__.oracle_sql_all()["trade_pagerank_undirected"]` re-derives
-the same fixed-iteration scores with chained SQL CTEs (one join+groupby
-per iteration), so every float is checked against an independent
+- ``_Local`` (|V| fits): node state is numpy arrays over the sorted
+  node ids. A step ships the columns it reads via ``ray.put`` and
+  streams the edges once — ids index-encoded inside the pass — and
+  every block returns typed, pre-reduced (idx, value) partials that the
+  driver folds with ``add`` / ``maximum`` / ``minimum.at``.
+- ``_Resident`` (|V| too large for the driver): node state is one
+  (node, ...) Dataset. A step hash_joins the read columns onto the
+  sending endpoint, pre-reduces per batch, combines in one salted
+  exchange and left-joins back onto the node table; nothing
+  node-scaled reaches the driver, only per-step scalars.
+
+Both backends run the same message, apply and scalar-reduction
+functions, so the float64 algebra is the same (equal up to summation
+order; consumers round). BFS, triangles, link prediction, HyperBall
+and walks are Dataset-only operators.
+
+The oracles in ``__ray_entry__.oracle_sql_all()`` re-derive the
+fixed-iteration scores with chained SQL CTEs (one join+groupby per
+iteration), so every float is checked against an independent
 implementation.
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+
+# --- the vertex-program core --------------------------------------------
+
+# message kinds: (combine ufunc, identity). The identity's dtype is the
+# message dtype; a value equal to the identity is never sent, and a node
+# that receives nothing reads the identity.
+_SUM = (np.add, np.float64(0.0))
+_COUNT = (np.add, np.int64(0))
+_MAX = (np.maximum, np.int64(np.iinfo(np.int64).min))
+_MIN = (np.minimum, np.int64(np.iinfo(np.int64).max))
+# plurality vote, every node also voting its own value (ties: smallest)
+_VOTE = ("vote", np.int64(0))
+_AGG = {np.add: "sum", np.maximum: "max", np.minimum: "min"}
+
+
+def _ids(t: pa.Table, col: str) -> np.ndarray:
+    return t[col].to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def _key(col: str):
+    """Salted-exchange combine key on one integer column."""
+    return lambda t: _ids(t, col)
+
+
+def _pair_key(a: str, b: str):
+    """Salted-exchange combine key folding two integer columns."""
+    def fn(t: pa.Table) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            k = (_ids(t, a).astype(np.uint64)
+                 * np.uint64(0x9E3779B97F4A7C15)
+                 + _ids(t, b).astype(np.uint64))
+        return k.view(np.int64)
+    return fn
+
+
+def _cols(t: pa.Table) -> dict:
+    return {c: t[c].to_numpy(zero_copy_only=False) for c in t.column_names}
+
+
+def _collect(ds, **dtypes) -> dict:
+    """A small Dataset's columns on the driver as typed arrays. A Dataset
+    whose blocks are all empty comes back without a schema; the empty
+    case is typed here, once."""
+    df = ds.to_pandas()
+    return {c: (df[c].to_numpy(dt) if c in df.columns
+                else np.zeros(0, dt)) for c, dt in dtypes.items()}
+
+
+def _uniq(cols):
+    def fn(t: pa.Table) -> pa.Table:
+        u = np.unique(np.concatenate([_ids(t, c) for c in cols]))
+        return pa.table({"node": pa.array(u, pa.int64())})
+    return fn
+
+
+def _distinct_nodes(edges_ds, cols=("src", "dst"), extra=None,
+                    n_parts: int = 16):
+    """(node) Dataset of the distinct ids in ``cols`` ∪ ``extra``:
+    per-batch uniques, one salted exchange."""
+    import ray.data as rd
+
+    from .shuffle import salted_partition_apply
+
+    found = edges_ds.map_batches(_uniq(cols), batch_format="pyarrow")
+    if extra is not None and extra.size:
+        found = found.union(rd.from_arrow(
+            pa.table({"node": pa.array(extra, pa.int64())})))
+    return salted_partition_apply(found, lambda df: df.drop_duplicates(
+        "node"), _key("node"), n_parts=n_parts)
+
+
+def _node_universe_switch(edges_ds, node_broadcast_limit: int,
+                          n_parts: int = 16, cols=("src", "dst"),
+                          extra=None):
+    """Scale-safe node discovery + the |V| switch: ``edges_ds`` must be
+    materialized; the universe is the ids in ``cols`` plus ``extra``.
+    When even the ``len(cols)·|E|`` bound fits the limit, per-batch
+    uniques concatenate on the driver directly (bounded by the same
+    limit; skips one salted exchange). Only when the BOUND overflows
+    does the distinct run as a distributed exchange — and then the
+    driver sees nothing node-scaled before the path is chosen. Returns
+    ``(nodes, nodes_ds, n)``: exactly one of nodes (sorted ndarray) /
+    nodes_ds (distinct-node Dataset, |V| over the limit) is non-None."""
+    extra = np.zeros(0, np.int64) if extra is None else extra
+    if len(cols) * edges_ds.count() + extra.size <= node_broadcast_limit:
+        found = _collect(edges_ds.map_batches(_uniq(cols),
+                                              batch_format="pyarrow"),
+                         node=np.int64)["node"]
+        nodes = np.unique(np.concatenate([found, extra]))
+        return nodes, None, len(nodes)
+    nodes_ds = _distinct_nodes(edges_ds, cols, extra, n_parts).materialize()
+    n = nodes_ds.count()
+    if n <= node_broadcast_limit:    # discovered distributed, but fits
+        return np.sort(_collect(nodes_ds, node=np.int64)["node"]), None, n
+    return None, nodes_ds, n
+
+
+def _compact(ds, k: int = 8):
+    """Re-materialize loop-carried state with a BOUNDED block count.
+    Fixpoint loops (k-core peel, SCC trim/color/backward) otherwise
+    accumulate blocks wave over wave — union and hash_join outputs sum
+    their inputs' block counts, and per-execution scheduling cost grows
+    with block count, not bytes (measured: the 9-edge SCC hand graph
+    livelocked past 15 min before this, 3 min after). One repartition
+    per wave of node-scaled state is noise next to the exchanges the
+    wave already runs. The blocks come back as a fresh Dataset: a
+    materialized one still carries its inputs' stats tree, which Ray
+    summarizes after every execution, and a step that reads the state
+    twice doubles that tree (measured: the 9-edge SCC hand graph's
+    steps grew 1 s → 52 s over nine steps)."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs(ds.repartition(k).materialize()
+                              .to_arrow_refs())
+
+
+def _starts(*cols) -> np.ndarray:
+    """Group start offsets of rows sorted on ``cols``."""
+    if not cols[0].size:
+        return np.zeros(0, np.intp)
+    new = np.zeros(cols[0].size, bool)
+    new[0] = True
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    return np.flatnonzero(new)
+
+
+def _tally(k, v, n):
+    """Sum the vote counts ``n`` per (key, value) pair."""
+    o = np.lexsort((v, k))
+    k, v, n = k[o], v[o], n[o]
+    s = _starts(k, v)
+    return k[s], v[s], (np.add.reduceat(n, s) if s.size else n)
+
+
+def _plurality(k, v, n):
+    """Per key, the value with the most votes (ties: the smallest)."""
+    k, v, n = _tally(k, v, n)
+    o = np.lexsort((v, -n, k))
+    k, v = k[o], v[o]
+    s = _starts(k)
+    return k[s], v[s]
+
+
+def _one(e: dict) -> np.ndarray:
+    """The counting message: 1 per live edge."""
+    return np.ones(e["src"].size, np.int64)
+
+
+def _is_vote(msgs: dict) -> bool:
+    return any(kind[0] == "vote" for _to, _fn, kind in msgs.values())
+
+
+def _partials(e: dict, keys: dict, msgs: dict) -> pa.Table:
+    """One block's pre-reduction of a step's messages. ``msgs`` maps a
+    name to (receiving endpoint, value fn over the edge columns ``e``,
+    kind); ``keys`` gives each endpoint's key per edge (node index or
+    node id). Returns a typed table — (key, <name>...) rows, one per
+    receiving key, or (key, v, n) vote counts — even when empty."""
+    if _is_vote(msgs):
+        (to, fn, _kind), = msgs.values()
+        k, v, n = _tally(keys[to], np.asarray(fn(e), np.int64),
+                         np.ones(keys[to].size, np.int64))
+        return pa.table({"key": pa.array(k, pa.int64()),
+                         "v": pa.array(v, pa.int64()),
+                         "n": pa.array(n, pa.int64())})
+    ks, vals = [], {m: [] for m in msgs}
+    for m, (to, fn, (_uf, ident)) in msgs.items():
+        v = np.asarray(fn(e), ident.dtype)
+        sent = v != ident
+        ks.append(keys[to][sent])
+        for o, (_t, _f, (_u, oid)) in msgs.items():
+            vals[o].append(v[sent] if o == m
+                           else np.full(int(sent.sum()), oid))
+    k = np.concatenate(ks)
+    order = np.argsort(k, kind="stable")
+    s = _starts(k[order])
+    out = {"key": pa.array(k[order][s], pa.int64())}
+    for m, (_to, _fn, (uf, ident)) in msgs.items():
+        v = np.concatenate(vals[m])[order]
+        out[m] = pa.array(uf.reduceat(v, s) if s.size else v,
+                          pa.from_numpy_dtype(ident.dtype))
+    return pa.table(out)
+
+
+def _applied(b: dict, apply) -> dict:
+    """The node-table apply both backends run: ``apply(columns)``
+    returns the columns it sets; the rest carry over."""
+    if apply is not None:
+        b.update(apply(b))
+    return b
+
+
+def _table(b: dict) -> pa.Table:
+    return pa.table({c: pa.array(np.asarray(v)) for c, v in b.items()})
+
+
+class _Local:
+    """Broadcast backend: node state is a dict of numpy arrays over the
+    sorted node ids, held on the driver (|V| fits). The live subgraph
+    is the edges whose endpoints are both alive and, after
+    ``restrict``, in the same group."""
+
+    def __init__(self, edges_ds, nodes: np.ndarray, weight):
+        import ray
+
+        self.n, self.nodes = len(nodes), {"node": nodes}
+        self._edges, self._weight = edges_ds, weight
+        self._nref = ray.put(nodes)
+        self._alive = self._group = None
+
+    def step(self, state, msgs, apply=None, frm="src", reads=()):
+        import ray
+
+        nref, weight = self._nref, self._weight
+        ref = ray.put((self._alive, self._group,
+                       {c: state[c] for c in reads}))
+
+        def partial(t: pa.Table) -> pa.Table:
+            nd = ray.get(nref)
+            alive, group, st = ray.get(ref)
+            src, dst = _ids(t, "src"), _ids(t, "dst")
+            si = np.searchsorted(nd, src).clip(0, max(nd.size - 1, 0))
+            di = np.searchsorted(nd, dst).clip(0, max(nd.size - 1, 0))
+            live = (nd[si] == src) & (nd[di] == dst)
+            if alive is not None:
+                live &= alive[si] & alive[di]
+            if group is not None:
+                live &= group[si] == group[di]
+            si, di = si[live], di[live]
+            e = {"src": src[live], "dst": dst[live]}
+            if weight:
+                e["weight"] = t[weight].to_numpy(zero_copy_only=False)[live]
+            at = si if frm == "src" else di
+            e.update({c: v[at] for c, v in st.items()})
+            return _partials(e, {"src": si, "dst": di}, msgs)
+
+        parts = self._edges.map_batches(partial, batch_format="pyarrow")
+        b = dict(state)
+        if _is_vote(msgs):
+            (name, (_to, fn, _kind)), = msgs.items()
+            got = _collect(parts, key=np.int64, v=np.int64, n=np.int64)
+            k, v = _plurality(  # every node also votes its own value
+                np.concatenate([got["key"], np.arange(self.n)]),
+                np.concatenate([got["v"], np.asarray(fn(state), np.int64)]),
+                np.concatenate([got["n"], np.ones(self.n, np.int64)]))
+            b[name] = np.empty(self.n, np.int64)
+            b[name][k] = v
+            return _applied(b, apply)
+        got = _collect(parts, key=np.int64, **{
+            m: kind[1].dtype for m, (_t, _f, kind) in msgs.items()})
+        for m, (_to, _fn, (uf, ident)) in msgs.items():
+            b[m] = np.full(self.n, ident)
+            uf.at(b[m], got["key"], got[m])
+        return _applied(b, apply)
+
+    def apply(self, state, fn):
+        return _applied(dict(state), fn)
+
+    def total(self, state, fn, how: str = "sum"):
+        a = np.asarray(fn(state))
+        return a.sum() if how == "sum" else a.min()
+
+    def drop(self, state, dead) -> int:
+        """Remove the nodes where ``dead(state)`` from the live subgraph;
+        returns how many there were."""
+        gone = np.asarray(dead(state), bool)
+        self._alive = ~gone if self._alive is None else self._alive & ~gone
+        return int(gone.sum())
+
+    def restrict(self, state, col: str):
+        """The live subgraph's edges whose endpoints agree on ``col``."""
+        sub = copy.copy(self)
+        sub._group = np.asarray(state[col])
+        return sub
+
+    def frame(self, state, **out) -> pd.DataFrame:
+        return pd.DataFrame({o: state[c] for o, c in out.items()})
+
+    def dataset(self, state, cols):
+        import ray.data as rd
+
+        return rd.from_pandas(pd.DataFrame({c: state[c] for c in cols}))
+
+
+class _Resident:
+    """Dataset-resident backend: node state is one (node, ...) Dataset
+    and the live subgraph is an edge Dataset that ``drop`` shrinks; the
+    driver sees only per-step scalars."""
+
+    def __init__(self, edges_ds, nodes_ds, n: int, weight, n_parts: int,
+                 broadcast_limit_bytes: int):
+        self.n, self.nodes = n, nodes_ds
+        self._edges, self._weight = edges_ds, weight
+        self._n_parts, self._blim = n_parts, broadcast_limit_bytes
+
+    def _join(self, left, right, on: str, how: str = "inner"):
+        from .join import hash_join
+
+        return hash_join(left, right, on=on, how=how, n_parts=self._n_parts)
+
+    def step(self, state, msgs, apply=None, frm="src", reads=()):
+        from .shuffle import salted_partition_apply
+
+        if not self._edges.count():     # no live edge: nothing is sent
+            def silent(b: dict) -> dict:
+                b.update({m: (np.asarray(fn(b), np.int64)
+                              if kind[0] == "vote"
+                              else np.full(len(b["node"]), kind[1]))
+                          for m, (_to, fn, kind) in msgs.items()})
+                return _applied(b, apply)
+            return self.apply(state, silent)
+        weight = self._weight
+        edges = self._edges
+        if reads:
+            edges = self._join(edges, state.map_batches(
+                lambda t: pa.table({frm: t["node"],
+                                    **{c: t[c] for c in reads}}),
+                batch_format="pyarrow"), on=frm)
+
+        def partial(t: pa.Table) -> pa.Table:
+            e = {c: t[c].to_numpy(zero_copy_only=False) for c in reads}
+            e["src"], e["dst"] = _ids(t, "src"), _ids(t, "dst")
+            if weight:
+                e["weight"] = t[weight].to_numpy(zero_copy_only=False)
+            return _partials(e, e, msgs)
+
+        parts = edges.map_batches(partial, batch_format="pyarrow")
+        if _is_vote(msgs):
+            (name, (_to, fn, _kind)), = msgs.items()
+            parts = parts.union(state.map_batches(   # the self-votes
+                lambda t: pa.table({
+                    "key": t["node"],
+                    "v": pa.array(np.asarray(fn(_cols(t)), np.int64)),
+                    "n": pa.array(np.ones(len(t), np.int64))}),
+                batch_format="pyarrow"))
+
+            def combine(df: pd.DataFrame) -> pd.DataFrame:
+                k, v = _plurality(df["key"].to_numpy(np.int64),
+                                  df["v"].to_numpy(np.int64),
+                                  df["n"].to_numpy(np.int64))
+                return pd.DataFrame({"node": k, "_m_" + name: v})
+        else:
+            agg = {m: _AGG[kind[0]] for m, (_t, _f, kind) in msgs.items()}
+
+            def combine(df: pd.DataFrame) -> pd.DataFrame:
+                return df.groupby("key", as_index=False).agg(agg).rename(
+                    columns={"key": "node",
+                             **{m: "_m_" + m for m in msgs}})
+
+        # materialized: the join would otherwise run the whole step once
+        # more just to read the combined side's schema
+        combined = salted_partition_apply(parts, combine, _key("key"),
+                                          n_parts=self._n_parts).materialize()
+        idents = {m: kind[1] for m, (_t, _f, kind) in msgs.items()}
+
+        def fold(t: pa.Table) -> pa.Table:
+            b = {}
+            for c in t.column_names:
+                if not c.startswith("_m_"):
+                    b[c] = t[c].to_numpy(zero_copy_only=False)
+                    continue
+                ident = idents[c[3:]]          # no message: the identity
+                b[c[3:]] = t[c].fill_null(pa.scalar(
+                    ident.item(), t[c].type)).to_numpy(zero_copy_only=False)
+            return _table(_applied(b, apply))
+
+        return _compact(self._join(state, combined, on="node", how="left")
+                        .map_batches(fold, batch_format="pyarrow"))
+
+    def apply(self, state, fn):
+        return _compact(state.map_batches(
+            lambda t: _table(_applied(_cols(t), fn)),
+            batch_format="pyarrow"))
+
+    def total(self, state, fn, how: str = "sum"):
+        def v(t: pa.Table) -> pa.Table:
+            a = np.asarray(fn(_cols(t)))
+            return pa.table({"v": a.astype(np.int64) if a.dtype == bool
+                             else a})
+        vals = state.map_batches(v, batch_format="pyarrow")
+        return (vals.sum("v") if how == "sum" else vals.min("v")) or 0
+
+    def drop(self, state, dead) -> int:
+        """Remove the nodes where ``dead(columns)`` from the live edges;
+        returns how many there were."""
+        gone = _compact(state.map_batches(
+            lambda t: t.select(["node"]).filter(
+                pa.array(np.asarray(dead(_cols(t)), bool))),
+            batch_format="pyarrow"))
+        n_gone = gone.count()
+        if n_gone and self._edges.count():
+            self._edges = _drop_edges_touching(
+                self._edges, gone, n_gone, n_parts=self._n_parts,
+                broadcast_limit_bytes=self._blim).materialize()
+        return n_gone
+
+    def restrict(self, state, col: str):
+        """The live edges whose endpoints agree on ``col``."""
+        import pyarrow.compute as pc
+
+        def side(end: str, as_: str):
+            return state.map_batches(
+                lambda t: pa.table({end: t["node"], as_: t[col]}),
+                batch_format="pyarrow")
+
+        keep = self._edges.schema().names
+        same = self._join(self._join(self._edges, side("src", "_gs"),
+                                     on="src"),
+                          side("dst", "_gd"), on="dst").map_batches(
+            lambda t: t.filter(pc.equal(t["_gs"], t["_gd"])).select(keep),
+            batch_format="pyarrow")
+        sub = copy.copy(self)
+        sub._edges = _compact(same, k=self._n_parts)
+        return sub
+
+    def frame(self, state, **out) -> pd.DataFrame:
+        df = state.to_pandas().sort_values("node")
+        return pd.DataFrame({o: df[c].to_numpy() for o, c in out.items()})
+
+    def dataset(self, state, cols):
+        return state.map_batches(lambda t: t.select(cols),
+                                 batch_format="pyarrow")
+
+
+def _graph(edges_ds, node_broadcast_limit: int, *, weight=None,
+           cols=("src", "dst"), extra=None, n_parts: int = 16,
+           broadcast_limit_bytes: int = 256 << 20):
+    """Materialize the edges once (projected to src, dst[, weight] in
+    16 blocks — every extra block is one more task per step), discover
+    the node universe and return the backend the |V| switch picks."""
+    keep = ["src", "dst"] + ([weight] if weight else [])
+    edges_ds = edges_ds.map_batches(lambda t: t.select(keep),
+                                    batch_format="pyarrow") \
+        .repartition(16).materialize()
+    nodes, nodes_ds, n = _node_universe_switch(
+        edges_ds, node_broadcast_limit, n_parts=min(n_parts, 16),
+        cols=cols, extra=extra)
+    if nodes_ds is None:
+        return _Local(edges_ds, nodes, weight)
+    return _Resident(edges_ds, nodes_ds, n, weight, n_parts,
+                     broadcast_limit_bytes)
+
+
+def _empty(**dtypes) -> pd.DataFrame:
+    return pd.DataFrame({c: pd.Series(dtype=dt) for c, dt in dtypes.items()})
 
 
 def pagerank(edges_ds, damping: float = 0.85, iters: int = 3,
@@ -44,264 +508,67 @@ def pagerank(edges_ds, damping: float = 0.85, iters: int = 3,
     Returns pandas (node_id, score) sorted by node_id — node-scaled,
     the quantity any consumer holds.
 
-    Two execution paths behind a node-count switch (the adaptive_join
-    pattern): up to ``node_broadcast_limit`` nodes, the rank/degree
-    vectors are broadcast per iteration (fast path — host graphs have
-    |V| ≪ |E|); above it, NOTHING node-scaled touches the driver —
-    ranks and degrees live as Datasets and each iteration runs as
-    hash_join exchanges + a salted dst-sum (``_pagerank_distributed``).
-    Both paths share the node-discovery exchange and the same float64
-    algebra (equal to summation-order noise; consumers round).
+    Vertex program (module docstring): one out-degree step, then per
+    iteration the dangling mass as a scalar reduction and one step
+    sending rank/deg along every edge. Up to ``node_broadcast_limit``
+    nodes the rank vector lives on the driver (host graphs have
+    |V| ≪ |E|); above it nothing node-scaled touches the driver.
 
     ``personalize``: seed node ids for PERSONALIZED PageRank — the
     teleport vector (and the dangling-mass sink) concentrates on the
     seeds present in the graph, 1/|S| each, instead of uniform 1/n;
     initial ranks likewise. The seed set is small by definition (it is
-    user input), so it broadcasts into both paths' closures; seeds
-    absent from the edge set are ignored, an all-absent set raises.
+    user input), so it broadcasts into the step closures; seeds absent
+    from the edge set are ignored, an all-absent set raises.
 
     ``weight_col``: optional per-edge positive weight — rank mass
     leaves a node proportionally to w(e)/Σ_out w (out-STRENGTH, the
     anchor-count-weighted host-rank form); None reproduces the
-    uniform 1/deg algebra bit-for-bit (bincount of ones). A node
-    whose out-weights sum to 0 is a sink, same as no out-edges."""
-    import ray
-    from ray.data.aggregate import Count, Sum
-
+    uniform 1/deg algebra. A node whose out-weights sum to 0 is a sink,
+    same as no out-edges."""
     if weight_col in ("src", "dst", "node", "rank", "deg", "w",
                       "sink_rank", "c"):
         raise ValueError(f"weight_col collides with an internal "
                          f"column: {weight_col!r}")
 
-    # materialize once (iterated `iters` times) and right-size blocks:
-    # the salted exchange that built the edges leaves ~64 sub-MB blocks,
-    # and every extra block is one more task per iteration
-    edges_ds = edges_ds.repartition(16).materialize()
-
-    # node discovery + the |V| switch, scale-safely — the shared
-    # _node_universe_switch helper (one copy with the k-core/SCC
-    # paths; review finding: this function carried its own inline
-    # twin, and the two had already drifted in shape)
-    if edges_ds.count() == 0:
-        return pd.DataFrame({"node_id": pd.Series(dtype="int64"),
-                             "score": pd.Series(dtype="float64")})
-    nodes, nodes_ds, n = _node_universe_switch(edges_ds,
-                                               node_broadcast_limit)
-
-    if n > node_broadcast_limit:
-        # rename via an Arrow map (Dataset.rename_columns chokes on the
-        # pandas blocks a groupby emits in ray 2.49). The groupby degree
-        # form exists ONLY on this path — the broadcast path below gets
-        # degrees from a streamed bincount pass instead (one sort
-        # exchange + materialize cheaper; measured ~1 s at sf0.1)
-        agg = (Sum(weight_col, alias_name="deg") if weight_col
-               else Count(alias_name="deg"))
-        deg_ds = edges_ds.groupby("src") \
-            .aggregate(agg) \
-            .map_batches(lambda t: t.rename_columns(["node", "deg"]),
-                         batch_format="pyarrow").materialize()
-        return _pagerank_distributed(edges_ds, n, nodes_ds, deg_ds,
-                                     damping, iters,
-                                     personalize=personalize,
-                                     weight_col=weight_col)
-    # out-degrees via the same broadcast-partials shape as contrib: one
-    # streamed pass, per-batch bincount into the node order, driver sum
-    nref = ray.put(nodes)
-
-    def deg_partial(t: pa.Table) -> pa.Table:
-        nd = ray.get(nref)
-        src = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        wv = (t[weight_col].to_numpy(zero_copy_only=False)
-              .astype(np.float64) if weight_col else None)
-        sums = np.bincount(np.searchsorted(nd, src), weights=wv,
-                           minlength=len(nd))
-        hit = np.nonzero(sums)[0]
-        return pa.table({"idx": pa.array(hit.astype(np.int64)),
-                         "partial": pa.array(sums[hit].astype(np.float64),
-                                             pa.float64())})
-
-    deg_df = edges_ds.map_batches(deg_partial, batch_format="pyarrow") \
-        .to_pandas()
-    deg = np.zeros(n, dtype=np.float64)
-    np.add.at(deg, deg_df["idx"].to_numpy(), deg_df["partial"].to_numpy())
-    sinks = deg == 0.0
-    safe_deg = np.where(sinks, 1.0, deg)
-    if personalize is not None:
-        seeds_in = np.intersect1d(
-            nodes, np.unique(np.asarray(personalize, dtype=np.int64)))
-        if seeds_in.size == 0:
+    g = _graph(edges_ds, node_broadcast_limit, weight=weight_col)
+    if g.n == 0:
+        return _empty(node_id="int64", score="float64")
+    n = g.n
+    seeds = (None if personalize is None
+             else np.unique(np.asarray(personalize, dtype=np.int64)))
+    if seeds is not None:
+        n_seeds = int(g.total(g.nodes, lambda b: np.isin(b["node"], seeds)))
+        if n_seeds == 0:
             raise ValueError("no personalization seed exists in the graph")
-        p = np.zeros(n, dtype=np.float64)
-        p[np.searchsorted(nodes, seeds_in)] = 1.0 / seeds_in.size
-        ranks = p.copy()
-    else:
-        p = None
-        ranks = np.full(n, 1.0 / n)
-    base = (1.0 - damping) / n
 
+    def teleport(b: dict, mass: float) -> np.ndarray:
+        """``mass`` spread uniformly, or over the seeds."""
+        if seeds is None:
+            return np.full(len(b["node"]), mass / n)
+        return np.where(np.isin(b["node"], seeds), mass / n_seeds, 0.0)
+
+    def with_rank(rank: np.ndarray, deg: np.ndarray) -> dict:
+        # w = the rank mass each out-edge (per unit weight) carries
+        return {"rank": rank, "w": np.where(deg > 0, rank / np.where(
+            deg > 0, deg, 1.0), 0.0)}
+
+    def weight(e: dict) -> np.ndarray:
+        return (e["weight"].astype(np.float64) if weight_col
+                else np.ones(e["src"].size))
+
+    st = g.step(g.nodes, {"deg": ("src", weight, _SUM)},
+                lambda b: with_rank(teleport(b, 1.0), b["deg"]))
     for _ in range(iters):
-        over_deg = np.where(sinks, 0.0, ranks / safe_deg)
-        dangling = float(ranks[sinks].sum())
-        ref = ray.put((nodes, over_deg))
-
-        def contrib(t: pa.Table) -> pa.Table:
-            # per-batch PARTIAL contribution sums, indexed into the
-            # broadcast node order — each batch returns ≤ |V| rows
-            nd, od = ray.get(ref)
-            src = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-            dst = t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-            w = od[np.searchsorted(nd, src)]
-            if weight_col:
-                w = w * t[weight_col].to_numpy(zero_copy_only=False) \
-                    .astype(np.float64)
-            di = np.searchsorted(nd, dst)
-            sums = np.bincount(di, weights=w, minlength=len(nd))
-            hit = np.nonzero(sums)[0]
-            return pa.table({
-                "idx": pa.array(hit.astype(np.int64)),
-                "partial": pa.array(sums[hit], pa.float64())})
-
-        # final reduce on the driver: the rank vector is driver-resident
-        # by construction in this (broadcast) form, so summing the
-        # block partials there adds no new scale assumption — and skips
-        # a Ray groupby whose per-distinct-group reduce cost 5s/iter on
-        # 16k nodes (measured; the bincount form is ~20x faster). The
-        # web-scale form (ranks as a Dataset + hash_join per iteration,
-        # module docstring) replaces BOTH the broadcast and this reduce.
-        parts = edges_ds.map_batches(contrib, batch_format="pyarrow") \
-            .to_pandas()
-        if p is None:
-            new = np.full(n, base + damping * dangling / n)
-        else:
-            # teleport AND dangling mass both land on the seed vector
-            new = ((1.0 - damping) + damping * dangling) * p
-        np.add.at(new, parts["idx"].to_numpy(),
-                  damping * parts["partial"].to_numpy())
-        ranks = new
-
-    return pd.DataFrame({"node_id": nodes, "score": ranks})
-
-
-def _pagerank_distributed(edges_ds, n: int, nodes_ds, deg_ds,
-                          damping: float, iters: int,
-                          personalize: "list[int] | None" = None,
-                          weight_col: str | None = None
-                          ) -> pd.DataFrame:
-    """Web-scale PageRank path: ranks/degrees stay as Datasets; per
-    iteration the driver sees only two scalars (dangling mass via
-    ``sum``, plus lineage handles). Each iteration = hash_join(ranks,
-    deg) -> per-node weight, hash_join(edges, weights on src) ->
-    per-batch partial dst-sums -> one salted exchange, hash_join(nodes,
-    contrib, how='left') -> new ranks. Same float64 algebra as the
-    broadcast path (bit-equal up to summation order; consumers round).
-    The returned frame is node-scaled — the quantity any consumer of
-    PageRank holds by definition; callers at 10^9 nodes should instead
-    consume ``ranks_ds`` via write_parquet (see trade_pagerank for the
-    small-result form)."""
-    from .join import hash_join
-    from .shuffle import salted_partition_apply
-
-    base = (1.0 - damping) / n
-    init = 1.0 / n
-    seed_arr = None
-    if personalize is not None:
-        # seeds ∩ node universe, discovered WITHOUT pulling the
-        # universe: filter the node Dataset by the (tiny, broadcast)
-        # seed list and collect ≤ |seeds| rows
-        import pyarrow.compute as pc
-
-        cand = np.unique(np.asarray(personalize, dtype=np.int64))
-        hits = nodes_ds.map_batches(
-            lambda t, _c=cand: t.filter(
-                pc.is_in(t["node"], pa.array(_c, pa.int64()))),
-            batch_format="pyarrow").to_pandas()
-        seed_arr = np.unique(hits["node"].to_numpy().astype(np.int64))
-        if seed_arr.size == 0:
-            raise ValueError("no personalization seed exists in the graph")
-        p_seed = 1.0 / seed_arr.size
-
-    def init_rank(t: pa.Table) -> pa.Table:
-        if seed_arr is None:
-            r = np.full(len(t), init)
-        else:
-            node = t["node"].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            r = np.where(np.isin(node, seed_arr), p_seed, 0.0)
-        return pa.table({"node": t["node"], "rank": pa.array(
-            r, pa.float64())})
-
-    ranks_ds = nodes_ds.map_batches(init_rank, batch_format="pyarrow") \
-        .materialize()
-
-    def node_key(t: pa.Table) -> np.ndarray:
-        return t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-
-    for _ in range(iters):
-        rd = hash_join(ranks_ds, deg_ds, on="node", how="left",
-                       n_parts=16)
-
-        def weights(t: pa.Table) -> pa.Table:
-            rank = t["rank"].to_numpy(zero_copy_only=False) \
-                .astype(np.float64)
-            deg = t["deg"].to_pandas().to_numpy(dtype=np.float64,
-                                                na_value=np.nan)
-            sink = ~(deg > 0)            # null or 0 out-degree
-            w = np.where(sink, 0.0, rank / np.where(sink, 1.0, deg))
-            return pa.table({
-                "src": t["node"],
-                "w": pa.array(w, pa.float64()),
-                "sink_rank": pa.array(np.where(sink, rank, 0.0),
-                                      pa.float64())})
-
-        rw = rd.map_batches(weights, batch_format="pyarrow").materialize()
-        dangling = float(rw.sum("sink_rank") or 0.0)
-        per_edge = hash_join(edges_ds,
-                             rw.select_columns(["src", "w"]),
-                             on="src", how="inner", n_parts=16)
-
-        def partial_dst(t: pa.Table) -> pa.Table:
-            c = t["w"].to_numpy(zero_copy_only=False) \
-                .astype(np.float64)
-            if weight_col:
-                c = c * t[weight_col].to_numpy(zero_copy_only=False) \
-                    .astype(np.float64)
-            df = pd.DataFrame({
-                "node": t["dst"].to_numpy(zero_copy_only=False)
-                .astype(np.int64),
-                "c": c})
-            g = df.groupby("node", sort=True, as_index=False)["c"].sum()
-            return pa.Table.from_pandas(g, preserve_index=False)
-
-        contrib = salted_partition_apply(
-            per_edge.map_batches(partial_dst, batch_format="pyarrow"),
-            lambda df: df.groupby("node", sort=True,
-                                  as_index=False)["c"].sum(),
-            combine_key=node_key, n_parts=16)
-        joined = hash_join(nodes_ds, contrib, on="node", how="left",
-                           n_parts=16)
-        add = base + damping * dangling / n
-        seed_add = (None if seed_arr is None
-                    else ((1.0 - damping) + damping * dangling) * p_seed)
-
-        def new_rank(t: pa.Table, _sa=seed_add) -> pa.Table:
-            c = t["c"].to_pandas().to_numpy(dtype=np.float64,
-                                            na_value=0.0)
-            if seed_arr is None:
-                r = add + damping * c
-            else:
-                node = t["node"].to_numpy(zero_copy_only=False) \
-                    .astype(np.int64)
-                r = np.where(np.isin(node, seed_arr), _sa, 0.0) \
-                    + damping * c
-            return pa.table({"node": t["node"], "rank": pa.array(
-                r, pa.float64())})
-
-        ranks_ds = joined.map_batches(new_rank, batch_format="pyarrow") \
-            .materialize()
-
-    out = ranks_ds.to_pandas().sort_values("node").reset_index(drop=True)
-    return pd.DataFrame({"node_id": out["node"].astype("int64"),
-                         "score": out["rank"].astype(np.float64)})
+        dangling = float(g.total(st, lambda b: np.where(
+            b["deg"] > 0, 0.0, b["rank"])))
+        mass = (1.0 - damping) + damping * dangling
+        st = g.step(
+            st, {"c": ("dst", lambda e: e["w"] * weight(e), _SUM)},
+            lambda b, _m=mass: with_rank(
+                teleport(b, _m) + damping * b["c"], b["deg"]),
+            reads=("w",))
+    return g.frame(st, node_id="node", score="rank")
 
 
 def _trade_pair_edges(sf_dir: str, edge_rows, *,
@@ -329,39 +596,35 @@ def _trade_pair_edges(sf_dir: str, edge_rows, *,
     def distinct_pairs(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates(["src", "dst"])
 
-    def pair_key(t: pa.Table) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            k = (t["src"].to_numpy().astype(np.uint64)
-                 * np.uint64(0x9E3779B97F4A7C15)
-                 + t["dst"].to_numpy().astype(np.uint64))
-        return k.view(np.int64)
-
     return salted_partition_apply(
         joined.map_batches(edge_rows, batch_format="pyarrow"),
-        reduce_fn or distinct_pairs, pair_key, n_parts=n_parts)
+        reduce_fn or distinct_pairs, _pair_key("src", "dst"),
+        n_parts=n_parts)
 
 
-def _bidir(t: pa.Table) -> pa.Table:
-    """Symmetrize distinct (src, dst) rows — both directions out."""
-    s = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-    d = t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-    return pa.table({
-        "src": pa.array(np.concatenate([s, d]), pa.int64()),
-        "dst": pa.array(np.concatenate([d, s]), pa.int64())})
+def _pair_rows(t: pa.Table) -> pa.Table:
+    """One (customer → supplier) row per lineitem ⋈ orders row; node ids
+    disambiguate the two families (cust·2, supp·2+1)."""
+    return pa.table({"src": pa.array(_ids(t, "o_custkey") * 2, pa.int64()),
+                     "dst": pa.array(_ids(t, "l_suppkey") * 2 + 1,
+                                     pa.int64())})
+
+
+def _bidir(t: pa.Table, weight: str | None = None) -> pa.Table:
+    """Symmetrize distinct (src, dst[, weight]) rows — both directions
+    out, each carrying its pair's weight."""
+    s, d = _ids(t, "src"), _ids(t, "dst")
+    out = {"src": np.concatenate([s, d]), "dst": np.concatenate([d, s])}
+    if weight:
+        out[weight] = np.concatenate([_ids(t, weight)] * 2)
+    return pa.table({c: pa.array(v, pa.int64()) for c, v in out.items()})
 
 
 def trade_edges(sf_dir: str):
     """Bidirectional customer↔supplier trade graph from lineitem ⋈
     orders: one edge pair per DISTINCT (custkey, suppkey) that ever
-    traded. Node ids disambiguate the two families (cust·2, supp·2+1)."""
-
-    def pair_rows(t: pa.Table) -> pa.Table:
-        c = t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"src": pa.array(c * 2, pa.int64()),
-                         "dst": pa.array(s * 2 + 1, pa.int64())})
-
-    return _trade_pair_edges(sf_dir, pair_rows) \
+    traded (``_pair_rows`` node encoding)."""
+    return _trade_pair_edges(sf_dir, _pair_rows) \
         .map_batches(_bidir, batch_format="pyarrow")
 
 
@@ -370,28 +633,13 @@ def trade_edges_weighted(sf_dir: str):
     lineitem rows between the pair (trade intensity); same node
     encoding, one pair-keyed count exchange instead of the distinct."""
 
-    def pair_rows(t: pa.Table) -> pa.Table:
-        c = t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"src": pa.array(c * 2, pa.int64()),
-                         "dst": pa.array(s * 2 + 1, pa.int64())})
-
     def count_pairs(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["src", "dst"], as_index=False).size()
         return g.rename(columns={"size": "wt"})
 
-    def bidir_w(t: pa.Table) -> pa.Table:
-        s = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-        w = t["wt"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "src": pa.array(np.concatenate([s, d]), pa.int64()),
-            "dst": pa.array(np.concatenate([d, s]), pa.int64()),
-            "wt": pa.array(np.concatenate([w, w]), pa.int64())})
-
-    return _trade_pair_edges(sf_dir, pair_rows,
-                             reduce_fn=count_pairs) \
-        .map_batches(bidir_w, batch_format="pyarrow")
+    return _trade_pair_edges(sf_dir, _pair_rows, reduce_fn=count_pairs) \
+        .map_batches(_bidir, fn_kwargs={"weight": "wt"},
+                     batch_format="pyarrow")
 
 
 def trade_pagerank_weighted(sf_dir: str, damping: float = 0.85,
@@ -440,6 +688,19 @@ def trade_pagerank_directed(sf_dir: str, damping: float = 0.85,
     return df.sort_values("node_id").reset_index(drop=True)
 
 
+def _two_smallest_src(edges_ds) -> list[int]:
+    """The two smallest src ids — the deterministic seed pick the
+    trade BFS / PPR / shortest-path oracles mirror: each block's two
+    smallest, then the two smallest of those."""
+    def min2(t: pa.Table) -> pa.Table:
+        return pa.table({"node_id": pa.array(
+            np.unique(_ids(t, "src"))[:2], pa.int64())})
+
+    found = _collect(edges_ds.map_batches(min2, batch_format="pyarrow"),
+                     node_id=np.int64)["node_id"]
+    return np.unique(found)[:2].tolist()
+
+
 def hits(edges_ds, iters: int = 3,
          node_broadcast_limit: int = 50_000_000) -> pd.DataFrame:
     """Fixed-iteration HITS (Kleinberg hubs & authorities) over a
@@ -448,188 +709,28 @@ def hits(edges_ds, iters: int = 3,
     norms, init hub = 1 on the full node universe (src ∪ dst). Returns
     pandas (node_id, authority, hub) sorted by node_id — node-scaled.
 
-    Same two-path shape as ``pagerank`` behind the same node-count
-    switch: below ``node_broadcast_limit`` the score vectors broadcast
-    per pass (each half-iteration is ONE streamed edge pass emitting
-    per-batch bincount partials); above it nothing node-scaled touches
-    the driver — scores stay Datasets and each half-iteration is a
-    hash_join on the edge endpoint + a salted contribution sum, with
-    the L2 norm reduced as a Dataset scalar (``sum`` of squares). Both
-    paths share the discovery exchange and float64 algebra (equal up to
-    summation order; consumers round). Oracle: chained-CTE SQL in
-    __ray_entry__ (one join+groupby+norm per half-iteration)."""
-    import ray
+    Vertex program (module docstring), behind the same node-count
+    switch as ``pagerank``: each half-iteration is one step summing the
+    other endpoint's score, then the L2 norm as a scalar reduction.
+    Oracle: chained-CTE SQL in __ray_entry__ (one join+groupby+norm per
+    half-iteration)."""
+    g = _graph(edges_ds, node_broadcast_limit)
+    if g.n == 0:
+        return _empty(node_id="int64", authority="float64", hub="float64")
 
-    from .shuffle import salted_partition_apply
+    def half(st, col: str, frm: str, read: str):
+        st = g.step(st, {col: ("dst" if frm == "src" else "src",
+                               lambda e: e[read], _SUM)},
+                    frm=frm, reads=(read,))
+        z = np.sqrt(float(g.total(st, lambda b: b[col] * b[col])))
+        return g.apply(st, lambda b: {col: b[col] / z}) if z > 0 else st
 
-    edges_ds = edges_ds.repartition(16).materialize()
-    n_edges = edges_ds.count()
-    empty = pd.DataFrame({"node_id": pd.Series(dtype="int64"),
-                          "authority": pd.Series(dtype="float64"),
-                          "hub": pd.Series(dtype="float64")})
-    if n_edges == 0:
-        return empty
-
-    def uniq(t: pa.Table) -> pa.Table:
-        u = np.unique(np.concatenate([
-            t["src"].to_numpy(zero_copy_only=False).astype(np.int64),
-            t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)]))
-        return pa.table({"node": pa.array(u, pa.int64())})
-
-    # node discovery mirrors pagerank: driver-side concat of per-batch
-    # uniques while the 2|E| bound fits, else a distinct exchange
-    if 2 * n_edges <= node_broadcast_limit:
-        node_parts = edges_ds.map_batches(uniq, batch_format="pyarrow") \
-            .to_pandas()
-        nodes = np.unique(node_parts["node"].to_numpy().astype(np.int64))
-        if len(nodes) > node_broadcast_limit:
-            return _hits_distributed(edges_ds, nodes, iters)
-        return _hits_broadcast(edges_ds, nodes, iters)
-    nodes_ds = salted_partition_apply(
-        edges_ds.map_batches(uniq, batch_format="pyarrow"),
-        lambda df: df.drop_duplicates("node"),
-        combine_key=lambda t: t["node"].to_numpy(
-            zero_copy_only=False).astype(np.int64),
-        n_parts=16).materialize()
-    n = nodes_ds.count()
-    if n > node_broadcast_limit:
-        return _hits_distributed(edges_ds, nodes_ds, iters)
-    nodes = np.sort(nodes_ds.to_pandas()["node"].to_numpy()
-                    .astype(np.int64))
-    return _hits_broadcast(edges_ds, nodes, iters)
-
-
-def _hits_broadcast(edges_ds, nodes: np.ndarray, iters: int) \
-        -> pd.DataFrame:
-    """Broadcast HITS: one streamed edge pass per half-iteration, each
-    batch returning ≤ |V| bincount-partial rows; driver holds only the
-    two node vectors (which this path exists for: |V| fits)."""
-    import ray
-
-    n = len(nodes)
-
-    def edge_pass(weight_on: str, sum_into: str, vec: np.ndarray) \
-            -> np.ndarray:
-        ref = ray.put((nodes, vec))
-
-        def contrib(t: pa.Table) -> pa.Table:
-            nd, v = ray.get(ref)
-            w_idx = np.searchsorted(nd, t[weight_on].to_numpy(
-                zero_copy_only=False).astype(np.int64))
-            s_idx = np.searchsorted(nd, t[sum_into].to_numpy(
-                zero_copy_only=False).astype(np.int64))
-            sums = np.bincount(s_idx, weights=v[w_idx], minlength=len(nd))
-            hit = np.nonzero(sums)[0]
-            return pa.table({"idx": pa.array(hit.astype(np.int64)),
-                             "partial": pa.array(sums[hit], pa.float64())})
-
-        parts = edges_ds.map_batches(contrib, batch_format="pyarrow") \
-            .to_pandas()
-        out = np.zeros(n, dtype=np.float64)
-        np.add.at(out, parts["idx"].to_numpy(),
-                  parts["partial"].to_numpy())
-        return out
-
-    hub = np.ones(n, dtype=np.float64)
-    auth = np.zeros(n, dtype=np.float64)
+    st = g.apply(g.nodes, lambda b: {"hub": np.ones(len(b["node"])),
+                                     "auth": np.zeros(len(b["node"]))})
     for _ in range(iters):
-        auth = edge_pass("src", "dst", hub)
-        z = np.sqrt(float(auth @ auth))
-        auth = auth / z if z > 0 else auth
-        hub = edge_pass("dst", "src", auth)
-        z = np.sqrt(float(hub @ hub))
-        hub = hub / z if z > 0 else hub
-    return pd.DataFrame({"node_id": nodes, "authority": auth,
-                         "hub": hub})
-
-
-def _hits_distributed(edges_ds, nodes, iters: int) -> pd.DataFrame:
-    """Web-scale HITS path: score vectors stay Datasets; per
-    half-iteration the driver sees one scalar (the squared-norm sum).
-    Each half = hash_join(edges, scores on the weight endpoint) →
-    per-batch partial sums on the other endpoint → salted exchange →
-    left-join onto the node table → normalize by the Dataset-reduced
-    L2 norm. ``nodes`` may arrive as a np.ndarray (small-discovery
-    case hitting the |V| switch) or a Dataset."""
-    import ray.data as rd
-
-    from .join import hash_join
-    from .shuffle import salted_partition_apply
-
-    if isinstance(nodes, np.ndarray):
-        nodes_ds = rd.from_arrow(
-            pa.table({"node": pa.array(nodes, pa.int64())})) \
-            .repartition(16).materialize()
-    else:
-        nodes_ds = nodes
-
-    def node_key(t: pa.Table) -> np.ndarray:
-        return t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-
-    def const_scores(val: float):
-        def fn(t: pa.Table) -> pa.Table:
-            return pa.table({"node": t["node"], "score": pa.array(
-                np.full(len(t), val), pa.float64())})
-        return fn
-
-    hub_ds = nodes_ds.map_batches(const_scores(1.0),
-                                  batch_format="pyarrow").materialize()
-
-    def half(score_ds, weight_on: str, sum_into: str):
-        per_edge = hash_join(
-            edges_ds, score_ds.map_batches(
-                lambda t, c=weight_on: t.rename_columns([c, "w"]),
-                batch_format="pyarrow"),
-            on=weight_on, how="inner", n_parts=16)
-
-        def partial(t: pa.Table, c=sum_into) -> pa.Table:
-            df = pd.DataFrame({
-                "node": t[c].to_numpy(zero_copy_only=False)
-                .astype(np.int64),
-                "s": t["w"].to_numpy(zero_copy_only=False)
-                .astype(np.float64)})
-            g = df.groupby("node", sort=True, as_index=False)["s"].sum()
-            return pa.Table.from_pandas(g, preserve_index=False)
-
-        contrib = salted_partition_apply(
-            per_edge.map_batches(partial, batch_format="pyarrow"),
-            lambda df: df.groupby("node", sort=True,
-                                  as_index=False)["s"].sum(),
-            combine_key=node_key, n_parts=16)
-        joined = hash_join(nodes_ds, contrib, on="node", how="left",
-                           n_parts=16)
-
-        def raw(t: pa.Table) -> pa.Table:
-            s = t["s"].to_pandas().to_numpy(dtype=np.float64,
-                                            na_value=0.0)
-            return pa.table({"node": t["node"],
-                             "score": pa.array(s, pa.float64()),
-                             "sq": pa.array(s * s, pa.float64())})
-
-        raw_ds = joined.map_batches(raw, batch_format="pyarrow") \
-            .materialize()
-        z = np.sqrt(float(raw_ds.sum("sq") or 0.0))
-        inv = 1.0 / z if z > 0 else 1.0
-
-        def norm(t: pa.Table) -> pa.Table:
-            return pa.table({"node": t["node"], "score": pa.array(
-                t["score"].to_numpy(zero_copy_only=False) * inv,
-                pa.float64())})
-
-        return raw_ds.map_batches(norm, batch_format="pyarrow") \
-            .materialize()
-
-    auth_ds = None
-    for _ in range(iters):
-        auth_ds = half(hub_ds, "src", "dst")
-        hub_ds = half(auth_ds, "dst", "src")
-
-    a = auth_ds.to_pandas().rename(columns={"score": "authority"})
-    h = hub_ds.to_pandas().rename(columns={"score": "hub"})
-    out = a.merge(h, on="node").sort_values("node").reset_index(drop=True)
-    return pd.DataFrame({"node_id": out["node"].astype("int64"),
-                         "authority": out["authority"].astype(np.float64),
-                         "hub": out["hub"].astype(np.float64)})
+        st = half(st, "auth", "src", "hub")
+        st = half(st, "hub", "dst", "auth")
+    return g.frame(st, node_id="node", authority="auth", hub="hub")
 
 
 def trade_hits(sf_dir: str, iters: int = 3) -> pd.DataFrame:
@@ -714,17 +815,13 @@ def bfs_hops(edges_ds, sources: list[int], max_hops: int = 4,
         # the pandas blocks the exchange emits (Ray 2.49)
         return pa.table({"src": t["node_id"]})
 
-    def node_key(t: pa.Table) -> np.ndarray:
-        return t["node_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-
     for h in range(1, max_hops + 1):
         out_edges = hash_join(edges_ds, frontier, on="src",
                               how="semi", n_parts=n_parts)
         cand = salted_partition_apply(
             out_edges.map_batches(dst_only, batch_format="pyarrow"),
             lambda df: df.drop_duplicates("node_id"),
-            node_key, n_parts=n_parts)
+            _key("node_id"), n_parts=n_parts)
         nxt = hash_join(cand, visited, on="node_id", how="anti",
                         n_parts=n_parts).materialize()
         n_new = nxt.count()
@@ -747,68 +844,7 @@ def trade_bfs(sf_dir: str, max_hops: int = 3) -> pd.DataFrame:
     driver — O(nodes-within-range) rows, the same driver volume as the
     result itself."""
     edges = trade_edges(sf_dir).materialize()
-
-    def min2(t: pa.Table) -> pa.Table:
-        s = np.unique(t["src"].to_numpy(zero_copy_only=False))[:2]
-        return pa.table({"node_id": pa.array(s, pa.int64())})
-
-    partials = edges.map_batches(min2, batch_format="pyarrow") \
-        .to_pandas()["node_id"].to_numpy()
-    seeds = np.unique(partials)[:2].tolist()
-    return bfs_hops(edges, seeds, max_hops=max_hops)
-
-
-def _node_universe_switch(edges_ds, node_broadcast_limit: int,
-                          n_parts: int = 16):
-    """Scale-safe node discovery + |V| switch shared by the two-path
-    graph operators (the pagerank lines 84-101 idiom, now one copy):
-    ``edges_ds`` must be materialized. When even the 2|E| bound fits
-    the broadcast limit, per-batch uniques concatenate on the driver
-    directly (bounded by the same limit; skips one salted exchange).
-    Only when the BOUND overflows does the distinct run as a
-    distributed exchange — and then the driver sees nothing
-    node-scaled before the path is chosen. Returns
-    ``(nodes, nodes_ds, n)``: exactly one of nodes (sorted ndarray) /
-    nodes_ds (distinct-node Dataset) is non-None; nodes_ds non-None
-    means the caller must take its Dataset-resident path."""
-    from .shuffle import salted_partition_apply
-
-    def uniq(t: pa.Table) -> pa.Table:
-        u = np.unique(np.concatenate([
-            t["src"].to_numpy(zero_copy_only=False).astype(np.int64),
-            t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)]))
-        return pa.table({"node": pa.array(u, pa.int64())})
-
-    n_edges = edges_ds.count()
-    if 2 * n_edges <= node_broadcast_limit:
-        parts = edges_ds.map_batches(uniq, batch_format="pyarrow") \
-            .to_pandas()
-        nodes = np.unique(parts["node"].to_numpy().astype(np.int64))
-        return nodes, None, len(nodes)
-    nodes_ds = salted_partition_apply(
-        edges_ds.map_batches(uniq, batch_format="pyarrow"),
-        lambda df: df.drop_duplicates("node"),
-        combine_key=lambda t: t["node"].to_numpy(
-            zero_copy_only=False).astype(np.int64),
-        n_parts=n_parts).materialize()
-    n = nodes_ds.count()
-    if n <= node_broadcast_limit:    # discovered distributed, but fits
-        nodes = np.sort(nodes_ds.to_pandas()["node"].to_numpy()
-                        .astype(np.int64))
-        return nodes, None, n
-    return None, nodes_ds, n
-
-
-def _compact(ds, k: int = 8):
-    """Re-materialize loop-carried state with a BOUNDED block count.
-    Fixpoint loops (k-core peel, SCC trim/color/backward) otherwise
-    accumulate blocks wave over wave — union and hash_join outputs sum
-    their inputs' block counts, and per-execution scheduling cost grows
-    with block count, not bytes (measured: the 9-edge SCC hand graph
-    livelocked past 15 min before this, 3 min after). One repartition
-    per wave of node-scaled state is noise next to the exchanges the
-    wave already runs."""
-    return ds.repartition(k).materialize()
+    return bfs_hops(edges, _two_smallest_src(edges), max_hops=max_hops)
 
 
 def _drop_edges_touching(live_ds, dead_ds, n_dead: int,
@@ -841,8 +877,12 @@ def _drop_edges_touching(live_ds, dead_ds, n_dead: int,
             return t.filter(pa.array(m))
 
         return live_ds.map_batches(keep, batch_format="pyarrow")
+    # materialized: the second join reads its schema, and an empty
+    # Dataset has none
     half = hash_join(live_ds, dead_ds, on="src", right_on="node",
-                     how="anti", n_parts=n_parts)
+                     how="anti", n_parts=n_parts).materialize()
+    if not half.count():
+        return half
     # bound the block count: joins sum their inputs' blocks, and this
     # output is loop-carried (next wave's live set)
     return hash_join(half, dead_ds, on="dst", right_on="node",
@@ -864,89 +904,8 @@ def _src_degrees_ds(live_ds, n_parts: int = 16):
     return salted_partition_apply(
         live_ds.map_batches(partial, batch_format="pyarrow"),
         lambda df: df.groupby("node", as_index=False)["deg"].sum(),
-        combine_key=lambda t: t["node"].to_numpy(
-            zero_copy_only=False).astype(np.int64),
+        combine_key=_key("node"),
         n_parts=n_parts)
-
-
-def _core_decomposition_distributed(edges_ds, nodes_ds, n_alive: int,
-                                    max_waves: int,
-                                    n_parts: int = 16,
-                                    broadcast_limit_bytes: int = 256 << 20
-                                    ) -> pd.DataFrame:
-    """Web-scale k-core path: the SAME Batagelj peel waves as the
-    broadcast path, with every piece of node-scaled state a DATASET —
-    the _pagerank_distributed hash-join algebra. Per wave: one salted
-    per-src degree exchange over the live edge Dataset, one node-scaled
-    left hash_join (alive ← deg, null→0), a scalar ``min`` for the
-    k-jump (raising k is a free re-check of the same degrees, so every
-    wave removes ≥1 node — identical to the broadcast path's inner
-    k-increment loop), a filter for the doomed set, one anti-join
-    shrinking alive, and a byte-probed edge shrink
-    (_drop_edges_touching). The driver sees only scalars per wave; the
-    peeled (node, coreness) rows accumulate as Datasets and are pulled
-    ONCE at the end — the result itself, the quantity the pandas
-    return contract holds by definition (callers at 10^9+ nodes would
-    consume the union as a Dataset / write_parquet instead)."""
-    import pyarrow.compute as pc
-
-    from .join import hash_join
-
-    alive_ds = nodes_ds.materialize()
-    live_ds = edges_ds.materialize()
-    n_live = live_ds.count()
-    done = []                               # Datasets (node, coreness)
-    k = 1
-    waves = 0
-    while n_alive > 0:
-        waves += 1
-        if waves > max_waves:
-            raise RuntimeError(f"core_decomposition: no convergence "
-                               f"after {max_waves} waves")
-        if n_live == 0:
-            # all remaining alive nodes have live degree 0 — doomed at
-            # the current k, exactly the broadcast path's deg<k branch
-            doomed = alive_ds
-            n_doomed = n_alive
-        else:
-            deg_ds = _src_degrees_ds(live_ds, n_parts=n_parts)
-            degf = _compact(hash_join(
-                alive_ds, deg_ds, on="node", how="left",
-                n_parts=n_parts).map_batches(
-                lambda t: pa.table({
-                    "node": t["node"],
-                    "deg": pc.fill_null(t["deg"], 0)}),
-                batch_format="pyarrow"))
-            m = int(degf.min("deg"))
-            if m >= k:                      # the k-jump (see docstring)
-                k = m + 1
-            kk = k
-            doomed = _compact(degf.map_batches(
-                lambda t, _k=kk: t.filter(pc.less(t["deg"], _k))
-                .select(["node"]),
-                batch_format="pyarrow"))
-            n_doomed = doomed.count()
-        cns = np.int64(k - 1)
-        done.append(doomed.map_batches(
-            lambda t, _c=cns: pa.table({
-                "node": t["node"],
-                "coreness": pa.array(np.full(len(t), _c, np.int64))}),
-            batch_format="pyarrow").materialize())
-        n_alive -= n_doomed
-        if n_alive == 0:
-            break
-        alive_ds = _compact(hash_join(alive_ds, doomed, on="node",
-                                      how="anti", n_parts=n_parts))
-        live_ds = _drop_edges_touching(
-            live_ds, doomed, n_doomed, n_parts=n_parts,
-            broadcast_limit_bytes=broadcast_limit_bytes).materialize()
-        n_live = live_ds.count()
-
-    out = pd.concat([d.to_pandas() for d in done], ignore_index=True)
-    return pd.DataFrame({
-        "node_id": out["node"].astype("int64"),
-        "coreness": out["coreness"].astype("int64")}) \
-        .sort_values("node_id").reset_index(drop=True)
 
 
 def core_decomposition(edges_ds,
@@ -957,94 +916,49 @@ def core_decomposition(edges_ds,
     """Exact k-core decomposition — coreness(v) = the largest k such
     that v survives in a subgraph of minimum degree k — over an
     undirected graph given as a BIDIRECTIONAL edge Dataset (src, dst
-    both directions, the trade_edges contract, so a bincount over src
-    IS the live degree). The density/community primitive PageRank and
+    both directions, the trade_edges contract, so a count over src IS
+    the live degree). The density/community primitive PageRank and
     triangles don't give you: spam-farm stripping and seed selection
     peel the crawl host graph by coreness.
 
-    Distributed peeling (Batagelj–Žaberšnik order, Montresor-et-al
-    round structure): phase k removes, in WAVES, every node whose live
-    degree is < k; each wave is ONE streamed bincount pass over the
-    index-encoded edge Dataset with the alive bitmap broadcast via
-    ray.put — the edge set never visits the driver, only node-scaled
-    vectors do (the pagerank broadcast-path convention; the number of
-    waves is the graph's degeneracy ordering depth, typically
-    O(tens)). Above ``node_broadcast_limit`` nodes the same waves run
-    with degrees, the alive set, and the edge shrink all
-    Dataset-resident (``_core_decomposition_distributed``) — the
-    pagerank two-path convention, parity-pinned with a forced-zero
-    limit test.
+    Peeling (Batagelj–Žaberšnik order, Montresor-et-al round
+    structure) as a vertex program: each WAVE is one live-degree step,
+    a scalar ``min`` over the alive nodes for the k-jump (raising k is
+    a free re-check of the same degrees, so every wave removes ≥ 1
+    node), and the removal of every alive node whose degree is < k
+    from the live subgraph. The number of waves is the graph's
+    degeneracy ordering depth, typically O(tens). Above
+    ``node_broadcast_limit`` nodes the Dataset-resident backend shrinks
+    the edge Dataset per wave with ``_drop_edges_touching``
+    (``broadcast_limit_bytes`` picks its plan).
 
     Returns pandas (node_id, coreness:int64) sorted by node_id, one
     row per node appearing in any edge."""
-    import ray
-
-    edges_ds = edges_ds.repartition(16).materialize()
-    if edges_ds.count() == 0:
-        return pd.DataFrame({"node_id": pd.Series(dtype="int64"),
-                             "coreness": pd.Series(dtype="int64")})
-
-    nodes, nodes_ds, n = _node_universe_switch(edges_ds,
-                                               node_broadcast_limit)
-    if nodes_ds is not None:
-        return _core_decomposition_distributed(
-            edges_ds, nodes_ds, n, max_waves, n_parts=n_parts,
-            broadcast_limit_bytes=broadcast_limit_bytes)
-
-    # index-encode ONCE so every wave streams int32 pairs, not raw ids
-    nref = ray.put(nodes)
-
-    def to_idx(t: pa.Table) -> pa.Table:
-        nd = ray.get(nref)
-        s = np.searchsorted(
-            nd, t["src"].to_numpy(zero_copy_only=False).astype(np.int64))
-        d = np.searchsorted(
-            nd, t["dst"].to_numpy(zero_copy_only=False).astype(np.int64))
-        return pa.table({"si": pa.array(s.astype(np.int32)),
-                         "di": pa.array(d.astype(np.int32))})
-
-    eidx = edges_ds.map_batches(to_idx, batch_format="pyarrow") \
-        .materialize()
-
-    alive = np.ones(n, dtype=bool)
-    coreness = np.zeros(n, dtype=np.int64)
-    k = 1
-    waves = 0
-    while alive.any():
-        aref = ray.put(alive)
-
-        def deg_partial(t: pa.Table, _aref=aref) -> pa.Table:
-            al = ray.get(_aref)
-            s = t["si"].to_numpy(zero_copy_only=False)
-            d = t["di"].to_numpy(zero_copy_only=False)
-            m = al[s] & al[d]
-            sums = np.bincount(s[m], minlength=len(al))
-            hit = np.nonzero(sums)[0]
-            return pa.table({
-                "idx": pa.array(hit.astype(np.int64)),
-                "partial": pa.array(sums[hit].astype(np.int64))})
-
-        parts = eidx.map_batches(deg_partial, batch_format="pyarrow") \
-            .to_pandas()
-        deg = np.zeros(n, dtype=np.int64)
-        if "idx" in parts.columns:      # all-empty partials lose schema
-            np.add.at(deg, parts["idx"].to_numpy(),
-                      parts["partial"].to_numpy())
-        # k-increments are free re-checks of the SAME driver-resident
-        # degree vector (removals invalidate it, raising k does not) —
-        # so every distributed wave below removes >= 1 node
-        doomed = alive & (deg < k)
-        while alive.any() and not doomed.any():
-            k += 1
-            doomed = alive & (deg < k)
-        coreness[doomed] = k - 1
-        alive &= ~doomed
+    g = _graph(edges_ds, node_broadcast_limit, n_parts=n_parts,
+               broadcast_limit_bytes=broadcast_limit_bytes)
+    if g.n == 0:
+        return _empty(node_id="int64", coreness="int64")
+    imax = np.iinfo(np.int64).max
+    st = g.apply(g.nodes, lambda b: {     # coreness -1 = still alive
+        "core": np.full(len(b["node"]), -1, np.int64)})
+    n_alive, k, waves = g.n, 1, 0
+    while n_alive:
         waves += 1
         if waves > max_waves:
             raise RuntimeError(f"core_decomposition: no convergence "
                                f"after {max_waves} waves")
+        st = g.step(st, {"deg": ("src", _one, _COUNT)})
+        m = int(g.total(st, lambda b: np.where(b["core"] < 0, b["deg"],
+                                               imax), "min"))
+        k = max(k, m + 1)                   # the k-jump (see docstring)
 
-    return pd.DataFrame({"node_id": nodes, "coreness": coreness})
+        def doomed(b, _k=k):
+            return (b["core"] < 0) & (b["deg"] < _k)
+
+        n_alive -= g.drop(st, doomed)
+        st = g.apply(st, lambda b, _k=k: {
+            "core": np.where(doomed(b), _k - 1, b["core"])})
+    return g.frame(st, node_id="node", coreness="core")
 
 
 def trade_coreness(sf_dir: str) -> pd.DataFrame:
@@ -1096,7 +1010,7 @@ def triangle_counts(edges_ds, n_parts: int = 64) -> pd.DataFrame:
 
     degrees = salted_partition_apply(
         edges_ds.map_batches(endpoints, batch_format="pyarrow"),
-        count_nodes, lambda t: t["node"].to_numpy().astype(np.int64),
+        count_nodes, _key("node"),
         n_parts=n_parts)
 
     # 2. orientation: low (deg, id) -> high (deg, id)
@@ -1145,17 +1059,10 @@ def triangle_counts(edges_ds, n_parts: int = 64) -> pd.DataFrame:
 
     wedges = salted_partition_apply(
         oriented, emit_wedges,
-        lambda t: t["src"].to_numpy().astype(np.int64), n_parts=n_parts)
+        _key("src"), n_parts=n_parts)
 
     # 4. close the wedges against the edge set: one pair-hash-keyed
     # exchange each side, exact (a, b) merge inside the part
-    def pair_hash(t: pa.Table, ca: str, cb: str) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            k = (t[ca].to_numpy().astype(np.uint64)
-                 * np.uint64(0x9E3779B97F4A7C15)
-                 + t[cb].to_numpy().astype(np.uint64))
-        return k.view(np.int64)
-
     def tag(side: int):
         def fn(t: pa.Table) -> pa.Table:
             return t.append_column(
@@ -1177,7 +1084,7 @@ def triangle_counts(edges_ds, n_parts: int = 64) -> pd.DataFrame:
         return hit[["a", "b", "s"]].reset_index(drop=True)
 
     tri = salted_partition_apply(
-        both, close_part, lambda t: pair_hash(t, "a", "b"),
+        both, close_part, _pair_key("a", "b"),
         n_parts=n_parts)
 
     # 5. per-node participation counts
@@ -1194,7 +1101,7 @@ def triangle_counts(edges_ds, n_parts: int = 64) -> pd.DataFrame:
 
     per_node = salted_partition_apply(
         tri.map_batches(corners, batch_format="pyarrow"),
-        count_tri, lambda t: t["node"].to_numpy().astype(np.int64),
+        count_tri, _key("node"),
         n_parts=n_parts).to_pandas()
     return per_node.rename(columns={"node": "node_id"}) \
         .sort_values("node_id").reset_index(drop=True)
@@ -1232,20 +1139,13 @@ def part_coorder_edges(sf_dir: str, n_parts: int = 64):
 
     in_order = salted_partition_apply(
         li, pairs_in_order,
-        lambda t: t["l_orderkey"].to_numpy().astype(np.int64),
+        _key("l_orderkey"),
         n_parts=n_parts)
 
     def distinct(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates(["u", "v"]).reset_index(drop=True)
 
-    def uv_hash(t: pa.Table) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            k = (t["u"].to_numpy().astype(np.uint64)
-                 * np.uint64(0x9E3779B97F4A7C15)
-                 + t["v"].to_numpy().astype(np.uint64))
-        return k.view(np.int64)
-
-    return salted_partition_apply(in_order, distinct, uv_hash,
+    return salted_partition_apply(in_order, distinct, _pair_key("u", "v"),
                                   n_parts=n_parts)
 
 
@@ -1266,257 +1166,11 @@ def trade_ppr(sf_dir: str, damping: float = 0.85, iters: int = 3,
     importance trade_pagerank gives. Suppliers are pure sinks here, so
     the seed-directed dangling term is exercised, not just the teleport."""
     edges = trade_edges_directed(sf_dir).materialize()
-
-    def min2(t: pa.Table) -> pa.Table:
-        s = np.unique(t["src"].to_numpy(zero_copy_only=False))[:2]
-        return pa.table({"node_id": pa.array(s, pa.int64())})
-
-    partials = edges.map_batches(min2, batch_format="pyarrow") \
-        .to_pandas()["node_id"].to_numpy()
-    seeds = np.unique(partials)[:2].tolist()
     df = pagerank(edges, damping=damping, iters=iters,
                   node_broadcast_limit=node_broadcast_limit,
-                  personalize=seeds)
+                  personalize=_two_smallest_src(edges))
     df["score"] = df["score"].round(6)
     return df.sort_values("node_id").reset_index(drop=True)
-
-
-def _scc_distributed(edges_ds, nodes_ds, n_active: int,
-                     max_rounds: int, max_waves: int,
-                     n_parts: int = 16,
-                     broadcast_limit_bytes: int = 256 << 20
-                     ) -> pd.DataFrame:
-    """Web-scale SCC path: the SAME FW-BW-Trim rounds as the broadcast
-    path with every piece of node-scaled state a DATASET — active set,
-    colors, and backward marks live in the object store and move
-    through hash_join / salted exchanges (_pagerank_distributed
-    algebra); the driver sees only per-wave scalars.
-
-    Per trim wave: ONE combined (out-degree, in-degree) salted exchange
-    over the live edges, a node-scaled left join, a filter, an
-    anti-join, a byte-probed edge shrink. Per color wave: one
-    hash_join(edges, colors on src) + salted per-dst max + node-scaled
-    left join + change count. The backward pass is a reverse BFS from
-    the color roots over the SAME-COLOR edge subset (computed once per
-    round with two edge joins): per wave one semi-join against the
-    frontier, a salted distinct, an anti-join vs marks — the fixpoint
-    the broadcast path's repeated full scans reach, one frontier hop
-    at a time. Retired (node, scc) rows accumulate as Datasets, pulled
-    ONCE at the end (the result itself — the pandas return contract;
-    10^9-node callers would consume the union as a Dataset)."""
-    import pyarrow.compute as pc
-
-    from .join import hash_join
-    from .shuffle import salted_partition_apply
-
-    def node_fold(t: pa.Table) -> np.ndarray:
-        return t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-
-    active_ds = nodes_ds.materialize()
-    live_ds = edges_ds.materialize()
-    n_live = live_ds.count()
-    done = []                                 # Datasets (node, scc)
-
-    def retire_as_singletons(kill_ds):
-        done.append(kill_ds.map_batches(
-            lambda t: pa.table({"node": t["node"], "scc": t["node"]}),
-            batch_format="pyarrow").materialize())
-
-    for _round in range(max_rounds):
-        if n_active == 0:
-            break
-
-        # --- 1. TRIM to fixpoint ---
-        for _wave in range(max_waves):
-            if n_live == 0:
-                # no live edges: every remaining active node has
-                # od = ind = 0 — all are singleton SCCs
-                retire_as_singletons(active_ds)
-                n_active = 0
-                break
-
-            def deg_partial(t: pa.Table) -> pa.Table:
-                s = t["src"].to_numpy(zero_copy_only=False) \
-                    .astype(np.int64)
-                d = t["dst"].to_numpy(zero_copy_only=False) \
-                    .astype(np.int64)
-                us, cs = np.unique(s, return_counts=True)
-                ud, cd = np.unique(d, return_counts=True)
-                return pa.table({
-                    "node": pa.array(np.concatenate([us, ud]),
-                                     pa.int64()),
-                    "od": pa.array(np.concatenate(
-                        [cs, np.zeros(ud.size, np.int64)])
-                        .astype(np.int64)),
-                    "ind": pa.array(np.concatenate(
-                        [np.zeros(us.size, np.int64), cd])
-                        .astype(np.int64))})
-
-            degs = salted_partition_apply(
-                live_ds.map_batches(deg_partial, batch_format="pyarrow"),
-                lambda df: df.groupby("node", as_index=False)[
-                    ["od", "ind"]].sum(),
-                combine_key=node_fold, n_parts=n_parts)
-            kill = _compact(hash_join(
-                active_ds, degs, on="node", how="left",
-                n_parts=n_parts).map_batches(
-                lambda t: t.filter(pc.or_(
-                    pc.equal(pc.fill_null(t["od"], 0), 0),
-                    pc.equal(pc.fill_null(t["ind"], 0), 0)))
-                .select(["node"]),
-                batch_format="pyarrow"))
-            nk = kill.count()
-            if nk == 0:
-                break
-            retire_as_singletons(kill)
-            n_active -= nk
-            if n_active == 0:
-                break
-            active_ds = _compact(hash_join(active_ds, kill, on="node",
-                                           how="anti", n_parts=n_parts))
-            live_ds = _drop_edges_touching(
-                live_ds, kill, nk, n_parts=n_parts,
-                broadcast_limit_bytes=broadcast_limit_bytes) \
-                .materialize()
-            n_live = live_ds.count()
-        else:
-            if n_active:
-                raise RuntimeError("SCC trim did not converge")
-        if n_active == 0:
-            break
-
-        # --- 2. COLOR: forward max-label propagation to fixpoint ---
-        color_ds = active_ds.map_batches(
-            lambda t: pa.table({"node": t["node"], "color": t["node"]}),
-            batch_format="pyarrow").materialize()
-        for _wave in range(max_waves):
-            col_src = color_ds.map_batches(
-                lambda t: pa.table({"src": t["node"], "col": t["color"]}),
-                batch_format="pyarrow")
-            ec = hash_join(live_ds, col_src, on="src", how="inner",
-                           n_parts=n_parts)
-
-            def max_partial(t: pa.Table) -> pa.Table:
-                d = t["dst"].to_numpy(zero_copy_only=False) \
-                    .astype(np.int64)
-                c = t["col"].to_numpy(zero_copy_only=False) \
-                    .astype(np.int64)
-                order = np.argsort(d, kind="stable")
-                ds_, cs_ = d[order], c[order]
-                grp = np.concatenate([[True], ds_[1:] != ds_[:-1]]) \
-                    if ds_.size else np.zeros(0, bool)
-                starts = np.nonzero(grp)[0]
-                mx = (np.maximum.reduceat(cs_, starts)
-                      if starts.size else np.zeros(0, np.int64))
-                return pa.table({
-                    "node": pa.array(ds_[starts] if starts.size
-                                     else np.zeros(0, np.int64),
-                                     pa.int64()),
-                    "m": pa.array(mx.astype(np.int64))})
-
-            maxin = salted_partition_apply(
-                ec.map_batches(max_partial, batch_format="pyarrow"),
-                lambda df: df.groupby("node", as_index=False)["m"].max(),
-                combine_key=node_fold, n_parts=n_parts)
-
-            def upd(t: pa.Table) -> pa.Table:
-                cur = t["color"].to_numpy(zero_copy_only=False) \
-                    .astype(np.int64)
-                # null m = no in-edge from the active subgraph: keep
-                # the current color (int64 min never wins a max)
-                m = pc.fill_null(t["m"], np.iinfo(np.int64).min) \
-                    .to_numpy(zero_copy_only=False).astype(np.int64)
-                new = np.maximum(cur, m)
-                return pa.table({
-                    "node": t["node"],
-                    "color": pa.array(new, pa.int64()),
-                    "chg": pa.array((new != cur).astype(np.int64))})
-
-            upd_ds = _compact(hash_join(
-                color_ds, maxin, on="node", how="left",
-                n_parts=n_parts).map_batches(
-                upd, batch_format="pyarrow"))
-            changed = int(upd_ds.sum("chg") or 0)
-            color_ds = upd_ds.map_batches(
-                lambda t: t.select(["node", "color"]),
-                batch_format="pyarrow").materialize()
-            if changed == 0:
-                break
-        else:
-            raise RuntimeError("SCC coloring did not converge")
-
-        # --- 3. BACKWARD: reverse BFS from color roots along
-        # same-color edges (computed once per round) ---
-        e1 = hash_join(live_ds,
-                       color_ds.map_batches(
-                           lambda t: pa.table({"src": t["node"],
-                                               "cs": t["color"]}),
-                           batch_format="pyarrow"),
-                       on="src", how="inner", n_parts=n_parts)
-        bedges = hash_join(e1,
-                           color_ds.map_batches(
-                               lambda t: pa.table({"dst": t["node"],
-                                                   "cd": t["color"]}),
-                               batch_format="pyarrow"),
-                           on="dst", how="inner", n_parts=n_parts) \
-            .map_batches(
-                lambda t: t.filter(pc.equal(t["cs"], t["cd"]))
-                .select(["src", "dst"]),
-                batch_format="pyarrow")
-        bedges = _compact(bedges, k=n_parts)
-        mark_ds = _compact(color_ds.map_batches(
-            lambda t: t.filter(pc.equal(t["node"], t["color"]))
-            .select(["node"]),
-            batch_format="pyarrow"))
-        frontier = mark_ds
-        for _wave in range(max_waves):
-            cand = hash_join(
-                bedges,
-                frontier.map_batches(
-                    lambda t: pa.table({"dst": t["node"]}),
-                    batch_format="pyarrow"),
-                on="dst", how="semi", n_parts=n_parts)
-            srcs = _compact(salted_partition_apply(
-                cand.map_batches(
-                    lambda t: pa.table({"node": t["src"]}),
-                    batch_format="pyarrow"),
-                lambda df: df.drop_duplicates("node"),
-                combine_key=node_fold, n_parts=n_parts))
-            if srcs.count() == 0:
-                break
-            newly = _compact(hash_join(srcs, mark_ds, on="node",
-                                       how="anti", n_parts=n_parts))
-            if newly.count() == 0:
-                break
-            mark_ds = _compact(mark_ds.union(newly))
-            frontier = newly
-        else:
-            raise RuntimeError("SCC backward pass did not converge")
-
-        finished = hash_join(mark_ds, color_ds, on="node", how="inner",
-                             n_parts=n_parts)
-        done.append(finished.map_batches(
-            lambda t: pa.table({"node": t["node"], "scc": t["color"]}),
-            batch_format="pyarrow").materialize())
-        nm = mark_ds.count()
-        n_active -= nm
-        if n_active == 0:
-            break
-        active_ds = _compact(hash_join(active_ds, mark_ds, on="node",
-                                       how="anti", n_parts=n_parts))
-        live_ds = _drop_edges_touching(
-            live_ds, mark_ds, nm, n_parts=n_parts,
-            broadcast_limit_bytes=broadcast_limit_bytes).materialize()
-        n_live = live_ds.count()
-    else:
-        if n_active:
-            raise RuntimeError("SCC peel did not converge in max_rounds")
-
-    out = pd.concat([d.to_pandas() for d in done], ignore_index=True)
-    return pd.DataFrame({
-        "node_id": out["node"].astype("int64"),
-        "scc_id": out["scc"].astype("int64")}) \
-        .sort_values("node_id").reset_index(drop=True)
 
 
 def strongly_connected_components(edges_ds, max_rounds: int = 50,
@@ -1542,160 +1196,79 @@ def strongly_connected_components(edges_ds, max_rounds: int = 50,
     Raises if max_rounds/max_waves don't converge (loud, like the CC
     non-convergence raise).
 
-    Scale shape (the pagerank broadcast pattern): driver state is FOUR
-    O(|V|) arrays (node ids, active, color, scc); edges map to index
-    space ONCE (node-array broadcast + searchsorted) and the indexed
-    edge Dataset materializes in the object store; every trim wave /
-    color wave / backward wave is one streaming map_batches over it
-    emitting per-batch partial reductions (bincounts, grouped maxima,
-    marked-source indices) — edge-scaled data never lands on the
-    driver. Above ``node_broadcast_limit`` nodes the SAME rounds run
-    with active set, colors, marks, and the edge shrink all
-    Dataset-resident (``_scc_distributed`` — the _pagerank_distributed
-    hash_join algebra), parity-pinned with a forced-zero limit test."""
-    import ray
+    Every wave is one vertex-program step over the live subgraph
+    (module docstring): (out, in)-degree counts for trim, a max over
+    in-neighbors' colors for color, a max over same-color
+    out-neighbors' marks for backward; retired nodes leave the live
+    subgraph. Above ``node_broadcast_limit`` nodes the same rounds run
+    Dataset-resident (``broadcast_limit_bytes`` picks the edge-shrink
+    plan)."""
+    g = _graph(edges_ds, node_broadcast_limit, n_parts=n_parts,
+               broadcast_limit_bytes=broadcast_limit_bytes)
+    if g.n == 0:
+        return _empty(node_id="int64", scc_id="int64")
 
-    # --- node universe + the |V| switch (scale-safe: the driver sees
-    # only a count before a path is chosen) ---
-    edges_ds = edges_ds.repartition(16).materialize()
-    if edges_ds.count() == 0:
-        return pd.DataFrame({"node_id": pd.Series(dtype="int64"),
-                             "scc_id": pd.Series(dtype="int64")})
-    nodes, nodes_ds, n = _node_universe_switch(edges_ds,
-                                               node_broadcast_limit)
-    if nodes_ds is not None:
-        return _scc_distributed(
-            edges_ds, nodes_ds, n, max_rounds, max_waves,
-            n_parts=n_parts,
-            broadcast_limit_bytes=broadcast_limit_bytes)
-    nref = ray.put(nodes)
+    def retire(st, dead, scc_of: str):
+        """Give the nodes where ``dead`` their SCC id and take them out
+        of the live subgraph; returns (state, number retired)."""
+        nd = g.drop(st, dead)
+        if nd:
+            st = g.apply(st, lambda b: {
+                "scc": np.where(dead(b), b[scc_of], b["scc"]),
+                "act": np.where(dead(b), 0, b["act"])})
+        return st, nd
 
-    def to_idx(t: pa.Table) -> pa.Table:
-        nd = ray.get(nref)
-        si = np.searchsorted(nd, t["src"].to_numpy(zero_copy_only=False)
-                             .astype(np.int64)).astype(np.int64)
-        di = np.searchsorted(nd, t["dst"].to_numpy(zero_copy_only=False)
-                             .astype(np.int64)).astype(np.int64)
-        return pa.table({"si": pa.array(si), "di": pa.array(di)})
+    def fixpoint(sub, st, col: str, to: str, what: str):
+        """Propagate the max of ``col`` against ``to`` until stable."""
+        frm = "src" if to == "dst" else "dst"
+        for _wave in range(max_waves):
+            st = sub.step(st, {"m": (to, lambda e: e[col], _MAX)},
+                          lambda b: {col: np.maximum(b[col], b["m"]),
+                                     "chg": (b["m"] > b[col])
+                                     .astype(np.int64)},
+                          frm=frm, reads=(col,))
+            if not g.total(st, lambda b: b["chg"]):
+                return st
+        raise RuntimeError(f"SCC {what} did not converge")
 
-    iedges = edges_ds.map_batches(to_idx, batch_format="pyarrow") \
-        .materialize()
-
-    active = np.ones(n, dtype=bool)
-    scc = np.full(n, -1, dtype=np.int64)
-
-    def stream(fn) -> pd.DataFrame:
-        return iedges.map_batches(fn, batch_format="pyarrow").to_pandas()
-
+    st = g.apply(g.nodes, lambda b: {
+        "act": np.ones(len(b["node"]), np.int64),
+        "scc": np.full(len(b["node"]), -1, np.int64)})
+    n_active = g.n
     for _round in range(max_rounds):
-        if not active.any():
+        if n_active == 0:
             break
 
         # --- 1. TRIM to fixpoint ---
         for _wave in range(max_waves):
-            aref = ray.put(active)
-
-            def degs(t: pa.Table) -> pa.Table:
-                act = ray.get(aref)
-                si = t["si"].to_numpy()
-                di = t["di"].to_numpy()
-                live = act[si] & act[di]
-                od = np.bincount(si[live], minlength=len(act))
-                ind = np.bincount(di[live], minlength=len(act))
-                nz = np.nonzero(od | ind)[0]
-                return pa.table({"i": pa.array(nz, pa.int64()),
-                                 "od": pa.array(od[nz], pa.int64()),
-                                 "ind": pa.array(ind[nz], pa.int64())})
-
-            d = stream(degs)
-            od = np.zeros(n, np.int64)
-            ind = np.zeros(n, np.int64)
-            if len(d):
-                np.add.at(od, d["i"].to_numpy(), d["od"].to_numpy())
-                np.add.at(ind, d["i"].to_numpy(), d["ind"].to_numpy())
-            kill = active & ((od == 0) | (ind == 0))
-            if not kill.any():
+            st = g.step(st, {"od": ("src", _one, _COUNT),
+                             "ind": ("dst", _one, _COUNT)})
+            st, nk = retire(st, lambda b: (b["act"] == 1) & (
+                (b["od"] == 0) | (b["ind"] == 0)), "node")
+            n_active -= nk
+            if nk == 0 or n_active == 0:
                 break
-            scc[kill] = nodes[kill]
-            active &= ~kill
         else:
-            # a kill on the final allowed wave may have finished the
-            # job — only raise if work genuinely remains (review
-            # finding: exact-boundary convergence raised spuriously)
-            if active.any():
-                raise RuntimeError("SCC trim did not converge")
-        if not active.any():
+            raise RuntimeError("SCC trim did not converge")
+        if n_active == 0:
             break
 
-        # --- 2. COLOR: forward max-label propagation to fixpoint ---
-        color = np.where(active, nodes, np.int64(-1))
-        for _wave in range(max_waves):
-            cref = ray.put((color, active))
-
-            def fwd(t: pa.Table) -> pa.Table:
-                col, act = ray.get(cref)
-                si = t["si"].to_numpy()
-                di = t["di"].to_numpy()
-                live = act[si] & act[di]
-                si, di = si[live], di[live]
-                if not len(si):
-                    return pa.table({"i": pa.array([], pa.int64()),
-                                     "m": pa.array([], pa.int64())})
-                order = np.argsort(di, kind="stable")
-                di_s, cs = di[order], col[si[order]]
-                grp = np.concatenate([[True], di_s[1:] != di_s[:-1]])
-                starts = np.nonzero(grp)[0]
-                mx = np.maximum.reduceat(cs, starts)
-                return pa.table({"i": pa.array(di_s[starts], pa.int64()),
-                                 "m": pa.array(mx, pa.int64())})
-
-            p = stream(fwd)
-            new = color.copy()
-            if len(p):
-                np.maximum.at(new, p["i"].to_numpy(), p["m"].to_numpy())
-            if (new == color).all():
-                break
-            color = new
-        else:
-            raise RuntimeError("SCC coloring did not converge")
+        # --- 2. COLOR: forward max-label propagation ---
+        st = g.apply(st, lambda b: {
+            "color": np.where(b["act"] == 1, b["node"], np.int64(-1))})
+        st = fixpoint(g, st, "color", "dst", "coloring")
 
         # --- 3. BACKWARD: reach the color root against the edges ---
-        mark = active & (color == nodes)
-        for _wave in range(max_waves):
-            mref = ray.put((mark, color, active))
-
-            def back(t: pa.Table) -> pa.Table:
-                mk, col, act = ray.get(mref)
-                si = t["si"].to_numpy()
-                di = t["di"].to_numpy()
-                hit = (act[si] & act[di] & mk[di] & ~mk[si]
-                       & (col[si] == col[di]))
-                return pa.table({"i": pa.array(
-                    np.unique(si[hit]), pa.int64())})
-
-            p = stream(back)
-            if not len(p):
-                break
-            newly = p["i"].to_numpy()
-            before = mark.sum()
-            mark[newly] = True
-            if mark.sum() == before:
-                break
-        else:
-            raise RuntimeError("SCC backward pass did not converge")
-
-        scc[mark] = color[mark]
-        active &= ~mark
+        st = g.apply(st, lambda b: {"mark": (
+            (b["act"] == 1) & (b["color"] == b["node"])).astype(np.int64)})
+        st = fixpoint(g.restrict(st, "color"), st, "mark", "src",
+                      "backward pass")
+        st, nm = retire(st, lambda b: b["mark"] == 1, "color")
+        n_active -= nm
     else:
-        # exact-boundary convergence: emptying `active` in round
-        # max_rounds-1 exhausts the for without re-entering the top
-        # break — a correct result, not a failure (review finding)
-        if active.any():
+        if n_active:
             raise RuntimeError("SCC peel did not converge in max_rounds")
-
-    return pd.DataFrame({"node_id": pd.Series(nodes, dtype="int64"),
-                         "scc_id": pd.Series(scc, dtype="int64")}) \
-        .sort_values("node_id").reset_index(drop=True)
+    return g.frame(st, node_id="node", scc_id="scc")
 
 
 def link_prediction_scores(edges_ds, k: int = 50, n_parts: int = 64):
@@ -1761,8 +1334,7 @@ def link_prediction_scores(edges_ds, k: int = 50, n_parts: int = 64):
     wedges = salted_partition_apply(
         ewd.map_batches(center_rows, batch_format="pyarrow"),
         wedge_pairs,
-        combine_key=lambda t: t["center"].to_numpy(
-            zero_copy_only=False).astype(np.int64),
+        combine_key=_key("center"),
         n_parts=n_parts)
 
     # existing edges as canonical (min, max) marker rows riding the
@@ -1815,17 +1387,10 @@ def trade_edges_sparse(sf_dir: str):
     (shared rare suppliers, not shared commodity ones)."""
     import pyarrow.compute as pc
 
-    def edge_rows(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.less_equal(t["l_quantity"], 2))
-        c = t["o_custkey"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        s = t["l_suppkey"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        return pa.table({"src": pa.array(c * 2, pa.int64()),
-                         "dst": pa.array(s * 2 + 1, pa.int64())})
-
-    return _trade_pair_edges(sf_dir, edge_rows, with_quantity=True,
-                             n_parts=16) \
+    return _trade_pair_edges(
+        sf_dir, lambda t: _pair_rows(t.filter(
+            pc.less_equal(t["l_quantity"], 2))),
+        with_quantity=True, n_parts=16) \
         .map_batches(_bidir, batch_format="pyarrow")
 
 
@@ -1872,18 +1437,8 @@ def hyperball(edges_ds, max_t: int = 3, p: int = 12,
         return pd.DataFrame({"t": pd.Series(dtype="int64"),
                              "pairs_est": pd.Series(dtype="float64")})
 
-    def uniq(t: pa.Table) -> pa.Table:
-        u = np.unique(np.concatenate([
-            t["src"].to_numpy(zero_copy_only=False).astype(np.int64),
-            t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)]))
-        return pa.table({"node": pa.array(u, pa.int64())})
-
-    def node_key(t: pa.Table) -> np.ndarray:
-        return t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-
     def init_rows(t: pa.Table) -> pa.Table:
-        node = t["node"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+        node = _ids(t, "node")
         b, r = _bucket_ranks(node, p)
         regs = np.zeros((node.size, m), np.uint8)
         regs[np.arange(node.size), b] = r
@@ -1892,10 +1447,7 @@ def hyperball(edges_ds, max_t: int = 3, p: int = 12,
             "regs": pa.array([row.tobytes() for row in regs],
                              pa.binary())})
 
-    counters = salted_partition_apply(
-        edges_ds.map_batches(uniq, batch_format="pyarrow"),
-        lambda df: df.drop_duplicates("node"),
-        node_key, n_parts=n_parts) \
+    counters = _distinct_nodes(edges_ds, n_parts=n_parts) \
         .map_batches(init_rows, batch_format="pyarrow") \
         .repartition(n_parts).materialize()
 
@@ -1914,8 +1466,7 @@ def hyperball(edges_ds, max_t: int = 3, p: int = 12,
                           for b in regs_list])
         order = np.argsort(nodes_arr, kind="stable")
         ns, st = nodes_arr[order], stack[order]
-        starts = np.nonzero(np.concatenate(
-            [[True], ns[1:] != ns[:-1]]))[0]
+        starts = _starts(ns)
         return ns[starts], np.maximum.reduceat(st, starts, axis=0)
 
     out_t, out_est = [], []
@@ -1949,7 +1500,7 @@ def hyperball(edges_ds, max_t: int = 3, p: int = 12,
         counters = salted_partition_apply(
             shipped.map_batches(src_partial, batch_format="pyarrow")
             .union(counters),
-            merge_part, node_key, n_parts=n_parts) \
+            merge_part, _key("node"), n_parts=n_parts) \
             .repartition(n_parts).materialize()
         cur = est_sum(counters)
         out_t.append(t_)
@@ -2129,63 +1680,6 @@ def _arrow_rename(ds, mapping: dict):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def _lpa_broadcast(edges_ds, labels_ds, iters: int):
-    """Small-graph fast path for ``label_propagation`` — same vote
-    algebra, different physical plan (the pagerank/HITS two-path
-    pattern): labels broadcast once per round via ``ray.put``
-    (node-scaled), each edge block emits a pre-aggregated
-    (node, label, n) vote partial, and the plurality argmax folds on
-    the driver. One streamed pass per round, ZERO exchanges — at the
-    gate scales this is ~5× faster than the exchange path, whose 2
-    exchanges × iters are pure fixed overhead on small graphs. Driver
-    vote volume is bounded by the edge count, which is what the
-    ``node_broadcast_limit`` switch guards."""
-    import ray
-    import ray.data as rd
-
-    lab_df = labels_ds.to_pandas()
-    order = np.argsort(lab_df["node"].to_numpy(np.int64))
-    nodes = lab_df["node"].to_numpy(np.int64)[order]
-    cur = lab_df["label"].to_numpy(np.int64)[order]
-
-    for _ in range(iters):
-        ref = ray.put(cur)
-
-        def partial(t: pa.Table, _ref=ref) -> pa.Table:
-            lab = ray.get(_ref)
-            src = t["src"].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            idx = np.searchsorted(nodes, src)
-            np.clip(idx, 0, nodes.size - 1, out=idx)
-            # drop votes from nodes outside the label universe (a
-            # symmetric-contract violation) instead of silently
-            # counting a neighbor's label — matches the exchange
-            # path, whose hash_join just drops them (review finding)
-            valid = nodes[idx] == src
-            voted = lab[idx[valid]]
-            df = pd.DataFrame({
-                "node": t["dst"].to_numpy(zero_copy_only=False)
-                .astype(np.int64)[valid], "label": voted})
-            g = df.groupby(["node", "label"], sort=False) \
-                .size().reset_index(name="n")
-            return pa.Table.from_pandas(g, preserve_index=False)
-
-        parts = edges_ds.map_batches(partial, batch_format="pyarrow") \
-            .to_pandas()
-        selfv = pd.DataFrame({"node": nodes, "label": cur,
-                              "n": np.ones(nodes.size, np.int64)})
-        votes = pd.concat([parts, selfv], ignore_index=True) \
-            .groupby(["node", "label"], as_index=False)["n"].sum()
-        votes = votes.sort_values(["node", "n", "label"],
-                                  ascending=[True, False, True],
-                                  kind="mergesort") \
-            .drop_duplicates("node").sort_values("node")
-        # every node self-votes, so `votes` covers the node universe
-        cur = votes["label"].to_numpy(np.int64)
-
-    return rd.from_pandas(pd.DataFrame({"node": nodes, "label": cur}))
-
-
 def label_propagation(edges_ds, iters: int = 4,
                       n_parts: int = 64,
                       node_broadcast_limit: int = 500_000):
@@ -2200,128 +1694,21 @@ def label_propagation(edges_ds, iters: int = 4,
     through every bridge.
 
     ``edges_ds`` must be SYMMETRIC (src, dst) int64 — the same contract
-    as `pagerank`. Fixed ``iters`` synchronous rounds (the planted-gate
-    suite converges in 2; the deterministic rule cannot oscillate once
-    votes are stable, and fixed rounds keep the oracle re-derivable).
-
-    Scale shape: per round, one hash_join ships each node's label to
-    its out-edges (edge-scaled, key-functional), then one salted
-    exchange keyed on dst counts votes and takes the argmax where the
-    node lives — the driver never sees anything node- or edge-scaled.
-    Below ``node_broadcast_limit`` nodes the same algebra runs as the
-    ``_lpa_broadcast`` fast path (labels via ray.put, zero exchanges,
-    driver argmax) — the pagerank/HITS two-path switch, parity-pinned
-    in tests. Returns a Dataset (node, label)."""
-    from .join import hash_join
-    from .shuffle import salted_partition_apply
-
-    edges_ds = edges_ds.materialize()
-
-    def init_labels(t: pa.Table) -> pa.Table:
-        u = np.unique(t["dst"].to_numpy(zero_copy_only=False)
-                      .astype(np.int64))
-        return pa.table({"node": pa.array(u, pa.int64()),
-                         "label": pa.array(u, pa.int64())})
-
-    # symmetric edges => dst alone covers every node; distinct via one
-    # salted exchange (node-scaled, never on the driver)
-    labels = salted_partition_apply(
-        edges_ds.map_batches(init_labels, batch_format="pyarrow"),
-        lambda df: df.drop_duplicates("node"),
-        combine_key=lambda t: t["node"].to_numpy(
-            zero_copy_only=False).astype(np.int64),
-        n_parts=min(n_parts, 16)).materialize()
-
-    if labels.count() <= node_broadcast_limit:
-        return _lpa_broadcast(edges_ds, labels, iters)
-
-    def vote_argmax(df: pd.DataFrame) -> pd.DataFrame:
-        votes = df.groupby(["node", "label"], sort=False) \
-            .size().reset_index(name="n")
-        votes = votes.sort_values(["node", "n", "label"],
-                                  ascending=[True, False, True],
-                                  kind="mergesort")
-        return votes.drop_duplicates("node")[["node", "label"]]
-
-    _ren = _arrow_rename
-
+    as `pagerank` — so dst alone covers every node (the node universe);
+    a src outside it casts no vote. Fixed ``iters`` synchronous rounds
+    (the planted-gate suite converges in 2; the deterministic rule
+    cannot oscillate once votes are stable, and fixed rounds keep the
+    oracle re-derivable). Each round is one vote step (module
+    docstring); above ``node_broadcast_limit`` nodes the votes count in
+    a dst-keyed salted exchange where the node lives. Returns a Dataset
+    (node, label)."""
+    g = _graph(edges_ds, node_broadcast_limit, cols=("dst",),
+               n_parts=n_parts)
+    st = g.apply(g.nodes, lambda b: {"label": b["node"]})
     for _ in range(iters):
-        shipped = _ren(
-            hash_join(edges_ds, _ren(labels, {"node": "src"}),
-                      on="src", n_parts=n_parts),
-            {"dst": "node"}).select_columns(["node", "label"])
-        ballots = shipped.union(_ren(labels, {}))  # arrow-normalized
-        labels = salted_partition_apply(
-            ballots, vote_argmax,
-            combine_key=lambda t: t["node"].to_numpy(
-                zero_copy_only=False).astype(np.int64),
-            n_parts=n_parts).materialize()
-    return labels
-
-
-def _sssp_broadcast(edges_ds, src_ids: np.ndarray,
-                    max_hops: int) -> pd.DataFrame:
-    """Small-graph fast path for ``shortest_paths`` — same relaxation
-    algebra, zero exchanges (the pagerank/HITS/LPA two-path pattern):
-    the distance vector broadcasts via ``ray.put`` each round, every
-    edge block emits a pre-minimized (node, cand_dist) partial, and the
-    driver folds the min. Per-round driver volume is bounded by
-    nodes × blocks after the per-block min — what the node-count switch
-    guards."""
-    import ray
-
-    def node_partial(t: pa.Table) -> pa.Table:
-        u = np.unique(np.concatenate(
-            [t["src"].to_numpy(zero_copy_only=False),
-             t["dst"].to_numpy(zero_copy_only=False)]).astype(np.int64))
-        return pa.table({"node": pa.array(u, pa.int64())})
-
-    nodes = np.unique(np.concatenate([
-        edges_ds.map_batches(node_partial, batch_format="pyarrow")
-        .to_pandas()["node"].to_numpy(np.int64),
-        src_ids]))  # an edge-less source still gets its dist-0 row
-    INF = np.int64(np.iinfo(np.int64).max // 4)
-    dist = np.full(nodes.size, INF, np.int64)
-    dist[np.searchsorted(nodes, src_ids)] = 0
-
-    for _ in range(max_hops):
-        dref = ray.put(dist)
-
-        def relax_partial(t: pa.Table, _dref=dref) -> pa.Table:
-            d = ray.get(_dref)
-            s = t["src"].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            dd = t["dst"].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            w = t["w"].to_numpy(zero_copy_only=False).astype(np.int64)
-            ds_ = d[np.searchsorted(nodes, s)]
-            ok = ds_ < INF
-            if not ok.any():
-                return pa.table({"node": pa.array([], pa.int64()),
-                                 "cand": pa.array([], pa.int64())})
-            di = np.searchsorted(nodes, dd[ok])
-            cand = ds_[ok] + w[ok]
-            # per-block min per destination before anything ships
-            order = np.argsort(di, kind="stable")
-            di, cand = di[order], cand[order]
-            first = np.ones(di.size, bool)
-            first[1:] = di[1:] != di[:-1]
-            mins = np.minimum.reduceat(cand, np.nonzero(first)[0])
-            return pa.table({
-                "node": pa.array(nodes[di[first]], pa.int64()),
-                "cand": pa.array(mins, pa.int64())})
-
-        parts = edges_ds.map_batches(relax_partial,
-                                     batch_format="pyarrow") \
-            .to_pandas()
-        if len(parts):
-            idx = np.searchsorted(nodes, parts["node"].to_numpy(np.int64))
-            np.minimum.at(dist, idx, parts["cand"].to_numpy(np.int64))
-
-    keep = dist < INF
-    return pd.DataFrame({"node_id": nodes[keep],
-                         "dist": dist[keep]}) \
-        .sort_values("node_id").reset_index(drop=True)
+        st = g.step(st, {"label": ("dst", lambda e: e["label"], _VOTE)},
+                    reads=("label",))
+    return g.dataset(st, ["node", "label"])
 
 
 def shortest_paths(edges_ds, sources: list[int], max_hops: int = 3,
@@ -2334,78 +1721,29 @@ def shortest_paths(edges_ds, sources: list[int], max_hops: int = 3,
     ``bfs_hops`` — crawl-budget routing and host-proximity features
     where edges carry latency/politeness cost rather than unit hops.
 
-    Scale shape: the distance table stays a DATASET; per round ONE
-    hash_join ships current distances onto out-edges (exchange keyed on
-    src) and ONE salted min-reduce re-keys candidates ∪ previous by
-    node — the edge set never concentrates anywhere, and with integer
-    weights the min-fold is exact (no float summation-order noise).
-    Materialized once per round so round r's lineage doesn't re-run
-    rounds 0..r-1 twice (dist feeds both the join and the union).
-    Below ``node_broadcast_limit`` nodes the same algebra runs as
-    ``_sssp_broadcast`` (distance vector via ray.put, per-block
-    pre-minimized partials, zero exchanges) — the pagerank/HITS/LPA
-    two-path switch, parity-pinned in the unit test."""
-    import ray.data as rd
-
-    from .join import hash_join
-    from .shuffle import salted_partition_apply
-
+    Each round is one min-relaxation step (module docstring) from the
+    reached nodes; with integer weights the min-fold is exact (no float
+    summation-order noise). The node universe includes every source,
+    so an edge-less source still gets its dist-0 row."""
     src_ids = np.unique(np.asarray(sources, dtype=np.int64))
     if src_ids.size == 0:
         raise ValueError("shortest_paths needs at least one source")
-    edges_ds = edges_ds.materialize()
+    inf = np.int64(np.iinfo(np.int64).max // 4)
+    g = _graph(edges_ds, node_broadcast_limit, weight="w", extra=src_ids,
+               n_parts=n_parts)
 
-    def count_nodes(t: pa.Table) -> pa.Table:
-        # BOTH endpoints: dst alone undercounts src-only nodes on
-        # directed graphs (10M-src fan-in would wrongly take the
-        # driver-resident broadcast path — review finding); the
-        # per-block-unique sum is an overestimate, which errs toward
-        # the exchange path, the safe side
-        u = np.unique(np.concatenate(
-            [t["src"].to_numpy(zero_copy_only=False),
-             t["dst"].to_numpy(zero_copy_only=False)]))
-        return pa.table({"n": pa.array([u.size], pa.int64())})
+    def relax(e: dict) -> np.ndarray:
+        return np.where(e["dist"] < inf, e["dist"] + e["weight"].astype(
+            np.int64), _MIN[1])
 
-    approx_nodes = int(edges_ds.map_batches(
-        count_nodes, batch_format="pyarrow").to_pandas()["n"].sum())
-    if approx_nodes <= node_broadcast_limit:
-        return _sssp_broadcast(edges_ds, src_ids, max_hops)
-
-    dist = rd.from_pandas(pd.DataFrame(
-        {"node_id": src_ids,
-         "dist": np.zeros(src_ids.size, np.int64)})).materialize()
-
-    def relax(t: pa.Table) -> pa.Table:
-        d = t["dist"].to_numpy(zero_copy_only=False).astype(np.int64)
-        w = t["w"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"node_id": t["dst"],
-                         "dist": pa.array(d + w, pa.int64())})
-
-    def node_key(t: pa.Table) -> np.ndarray:
-        return t["node_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-
-    def min_per_node(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("node_id", as_index=False)["dist"].min()
-
-    def as_src(t: pa.Table) -> pa.Table:
-        # arrow-map rename: Dataset.rename_columns' Project stage
-        # rejects the pandas blocks the exchange emits (Ray 2.49)
-        return pa.table({"src": t["node_id"], "dist": t["dist"]})
-
+    st = g.apply(g.nodes, lambda b: {
+        "dist": np.where(np.isin(b["node"], src_ids), 0, inf)})
     for _ in range(max_hops):
-        reached = hash_join(
-            edges_ds, dist.map_batches(as_src, batch_format="pyarrow"),
-            on="src", n_parts=n_parts)
-        cand = reached.map_batches(relax, batch_format="pyarrow")
-        dist = salted_partition_apply(
-            dist.union(cand), min_per_node, node_key,
-            n_parts=n_parts).materialize()
-
-    out = dist.to_pandas()
-    out["node_id"] = out["node_id"].astype("int64")
-    out["dist"] = out["dist"].astype("int64")
-    return out.sort_values("node_id").reset_index(drop=True)
+        st = g.step(st, {"m": ("dst", relax, _MIN)},
+                    lambda b: {"dist": np.minimum(b["dist"], b["m"])},
+                    reads=("dist",))
+    out = g.frame(st, node_id="node", dist="dist")
+    return out[out["dist"] < inf].reset_index(drop=True)
 
 
 def trade_weighted_edges(sf_dir: str):
@@ -2431,15 +1769,8 @@ def trade_shortest_paths(sf_dir: str, max_hops: int = 3) -> pd.DataFrame:
     the 1-hop route BFS would report — the oracle's chained per-round
     min-relaxation CTEs check exactly that."""
     edges = trade_weighted_edges(sf_dir).materialize()
-
-    def min2(t: pa.Table) -> pa.Table:
-        s = np.unique(t["src"].to_numpy(zero_copy_only=False))[:2]
-        return pa.table({"node_id": pa.array(s, pa.int64())})
-
-    partials = edges.map_batches(min2, batch_format="pyarrow") \
-        .to_pandas()["node_id"].to_numpy()
-    seeds = np.unique(partials)[:2].tolist()
-    return shortest_paths(edges, seeds, max_hops=max_hops)
+    return shortest_paths(edges, _two_smallest_src(edges),
+                          max_hops=max_hops)
 
 
 def _walks_csr(edges_ds):
@@ -2507,8 +1838,7 @@ def walk_corpus(edges_ds, starts_ds, walk_len: int = 3,
     starts_ds = salted_partition_apply(
         starts_ds.map_batches(start_ids, batch_format="pyarrow"),
         lambda df: df.drop_duplicates("walk_id"),
-        combine_key=lambda t: t["walk_id"].to_numpy(
-            zero_copy_only=False).astype(np.int64),
+        combine_key=_key("walk_id"),
         n_parts=min(n_parts, 16))
 
     edges_ds = edges_ds.materialize()
@@ -2575,8 +1905,7 @@ def walk_corpus(edges_ds, starts_ds, walk_len: int = 3,
 
         frontier = salted_partition_apply(
             cand, pick,
-            combine_key=lambda t: t["walk_id"].to_numpy(
-                zero_copy_only=False).astype(np.int64),
+            combine_key=_key("walk_id"),
             n_parts=n_parts).materialize()
         step_df = frontier.to_pandas()
         if step_df.empty:

@@ -1013,13 +1013,21 @@ def test_pagerank_distributed_path_matches_broadcast(ray_session):
     rng = np.random.default_rng(31)
     src = rng.integers(0, 60, 400).astype("int64")
     dst = rng.integers(0, 75, 400).astype("int64")
-    edges = rd.from_pandas(pd.DataFrame({"src": src, "dst": dst}))
-    a = pagerank(edges, damping=0.85, iters=3)
-    b = pagerank(edges, damping=0.85, iters=3, node_broadcast_limit=0)
-    assert a["node_id"].tolist() == b["node_id"].tolist()
-    assert np.allclose(a["score"].to_numpy(), b["score"].to_numpy(),
-                       atol=1e-12)
-    assert abs(b["score"].sum() - 1.0) < 1e-9    # mass conserved
+    base = None
+    # ids above 2^53 must come back exact on both paths: the shifted
+    # graph scores like the unshifted one
+    for off in (0, 1 << 62):
+        edges = rd.from_pandas(pd.DataFrame({"src": src + off,
+                                             "dst": dst + off}))
+        a = pagerank(edges, damping=0.85, iters=3)
+        b = pagerank(edges, damping=0.85, iters=3, node_broadcast_limit=0)
+        base = a if base is None else base
+        for got in (a, b):
+            assert got["node_id"].tolist() == [
+                v + off for v in base["node_id"].tolist()]
+            assert np.allclose(base["score"].to_numpy(),
+                               got["score"].to_numpy(), atol=1e-12)
+        assert abs(b["score"].sum() - 1.0) < 1e-9    # mass conserved
 
 
 def test_hits_distributed_path_matches_broadcast(ray_session):
@@ -1038,14 +1046,20 @@ def test_hits_distributed_path_matches_broadcast(ray_session):
     rng = np.random.default_rng(47)
     src = rng.integers(0, 50, 300).astype("int64")
     dst = rng.integers(30, 90, 300).astype("int64")
-    edges = rd.from_pandas(pd.DataFrame({"src": src, "dst": dst}))
-    a = hits(edges, iters=3)
-    b = hits(edges, iters=3, node_broadcast_limit=0)
-    assert a["node_id"].tolist() == b["node_id"].tolist()
-    assert np.allclose(a["authority"].to_numpy(),
-                       b["authority"].to_numpy(), atol=1e-12)
-    assert np.allclose(a["hub"].to_numpy(), b["hub"].to_numpy(),
-                       atol=1e-12)
+    base = None
+    for off in (0, 1 << 62):            # ids above 2^53, both paths
+        edges = rd.from_pandas(pd.DataFrame({"src": src + off,
+                                             "dst": dst + off}))
+        a = hits(edges, iters=3)
+        b = hits(edges, iters=3, node_broadcast_limit=0)
+        base = a if base is None else base
+        for got in (a, b):
+            assert got["node_id"].tolist() == [
+                v + off for v in base["node_id"].tolist()]
+            assert np.allclose(base["authority"].to_numpy(),
+                               got["authority"].to_numpy(), atol=1e-12)
+            assert np.allclose(base["hub"].to_numpy(),
+                               got["hub"].to_numpy(), atol=1e-12)
     # L2-normalized: both vectors are unit length after the last round
     assert abs(np.linalg.norm(a["authority"]) - 1.0) < 1e-9
     assert abs(np.linalg.norm(a["hub"]) - 1.0) < 1e-9
@@ -2171,7 +2185,8 @@ def test_core_decomposition_distributed_parity(ray_session):
     set / degrees / edge shrink all as Datasets, nothing node-scaled on
     the driver) — it must reproduce the broadcast path exactly on the
     hand graph, on BOTH edge-shrink paths (broadcast_limit_bytes=0
-    forces the anti-join fallback)."""
+    forces the anti-join fallback), also from an edge Dataset with an
+    empty block and with ids shifted past 2^62."""
     import pandas as pd
     import ray.data as rd
 
@@ -2179,16 +2194,24 @@ def test_core_decomposition_distributed_parity(ray_session):
 
     und = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
            (3, 4), (4, 5), (0, 6)]
-    edges = rd.from_pandas(pd.DataFrame({
+    df = pd.DataFrame({
         "src": [a for a, b in und] + [b for a, b in und],
-        "dst": [b for a, b in und] + [a for a, b in und]}))
+        "dst": [b for a, b in und] + [a for a, b in und]})
     want = {0: 3, 1: 3, 2: 3, 3: 3, 4: 1, 5: 1, 6: 1}
-    for blim in (256 << 20, 0):
-        out = core_decomposition(edges, node_broadcast_limit=0,
-                                 broadcast_limit_bytes=blim, n_parts=2)
-        got = dict(zip(out["node_id"].astype(int),
-                       out["coreness"].astype(int)))
-        assert got == want, (blim, got)
+    # the plain input, one with an empty block, and ids above 2^53
+    inputs = [(0, rd.from_pandas(df)),
+              (0, rd.from_pandas([df[:5], df[:0], df[5:]])),
+              (1 << 62, rd.from_pandas(df + (1 << 62)))]
+    for off, edges in inputs:
+        shifted = {v + off: c for v, c in want.items()}
+        for limit, blim in ((50_000_000, 256 << 20), (0, 256 << 20),
+                            (0, 0)):
+            out = core_decomposition(edges, node_broadcast_limit=limit,
+                                     broadcast_limit_bytes=blim,
+                                     n_parts=2)
+            got = dict(zip(out["node_id"].astype(int),
+                           out["coreness"].astype(int)))
+            assert got == shifted, (off, limit, blim, got)
 
 
 def test_remove_dup_substrings_paths(ray_session):
@@ -2742,7 +2765,8 @@ def test_scc_distributed_path_matches_broadcast(ray_session):
     (active/color/mark state as Datasets, hash_join + salted exchanges
     per wave, nothing node-scaled on the driver) — it must reproduce
     the broadcast path exactly on the known graph (both cycles, the
-    one-way bridge, and the trim tail all exercised)."""
+    one-way bridge, and the trim tail all exercised) — also from an
+    edge Dataset with an empty block and with ids shifted past 2^62."""
     import pyarrow as pa
 
     from stimson_web_scraper_ray.pipelines.graph import (
@@ -2751,19 +2775,63 @@ def test_scc_distributed_path_matches_broadcast(ray_session):
 
     src = [1, 2, 3, 10, 11, 12, 3, 12, 20]
     dst = [2, 3, 1, 11, 12, 10, 10, 20, 21]
-    edges = rd.from_arrow(pa.table({
-        "src": pa.array(src, pa.int64()),
-        "dst": pa.array(dst, pa.int64())}))
-    a = strongly_connected_components(edges)
-    b = strongly_connected_components(edges, node_broadcast_limit=0,
-                                      n_parts=2)
-    assert a.equals(b)
+    df = pd.DataFrame({"src": src, "dst": dst})
+    base = None
+    # the plain input, one with an empty block, and ids above 2^53
+    inputs = [(0, rd.from_arrow(pa.table({
+                  "src": pa.array(src, pa.int64()),
+                  "dst": pa.array(dst, pa.int64())}))),
+              (0, rd.from_pandas([df[:4], df[:0], df[4:]])),
+              (1 << 62, rd.from_pandas(df + (1 << 62)))]
+    for off, edges in inputs:
+        a = strongly_connected_components(edges)
+        base = a if base is None else base
+        assert a.equals(base + off)
+        b = strongly_connected_components(edges, node_broadcast_limit=0,
+                                          n_parts=2)
+        assert a.equals(b)
     # broadcast_limit_bytes=0 forces the anti-join edge-shrink layer
-    # (the k-core twin pins it too — review finding: it had no coverage)
-    c = strongly_connected_components(edges, node_broadcast_limit=0,
+    # (the k-core twin pins it too)
+    c = strongly_connected_components(inputs[0][1], node_broadcast_limit=0,
                                       broadcast_limit_bytes=0,
                                       n_parts=2)
-    assert a.equals(c)
+    assert base.equals(c)
+
+
+def test_graph_broadcast_step_executions(ray_session, monkeypatch):
+    """Pins the Dataset executions of the broadcast (driver-resident)
+    graph path on the SCC hand graph: pagerank(iters=3) is edge
+    materialization, node discovery, the out-degree pass and one pass
+    per iteration; SCC is the same two plus one pass per trim / color /
+    backward wave. A refactor that adds an edge pass fails here. Counted
+    on ``StreamingExecutor.execute``, the hook perfbench's traced mix
+    reads as ``ray_data.executions``."""
+    import pyarrow as pa
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from stimson_web_scraper_ray.pipelines.graph import (
+        pagerank,
+        strongly_connected_components,
+    )
+
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    edges = rd.from_arrow(pa.table({
+        "src": pa.array([1, 2, 3, 10, 11, 12, 3, 12, 20], pa.int64()),
+        "dst": pa.array([2, 3, 1, 11, 12, 10, 10, 20, 21], pa.int64())}))
+    pagerank(edges, iters=3)
+    assert len(calls) == 6
+    calls.clear()
+    strongly_connected_components(edges)
+    assert len(calls) == 11
 
 
 def test_pagerank_weighted_parity_and_paths(ray_session):
@@ -2780,15 +2848,22 @@ def test_pagerank_weighted_parity_and_paths(ray_session):
     s = rng.integers(0, 30, 120)
     d = rng.integers(0, 40, 120)
     mm = s != d
-    e0 = pd.DataFrame({"src": s[mm].astype(np.int64),
-                       "dst": d[mm].astype(np.int64)})
-    e1 = e0.assign(wt=np.ones(len(e0), np.int64))
-    a = pagerank(rd.from_pandas(e0), iters=3)
-    b = pagerank(rd.from_pandas(e1), iters=3, weight_col="wt")
-    c = pagerank(rd.from_pandas(e1), iters=3, weight_col="wt",
-                 node_broadcast_limit=0)
-    assert np.allclose(a["score"], b["score"], atol=1e-12)
-    assert np.allclose(b["score"], c["score"], atol=1e-9)
+    base = None
+    for off in (0, 1 << 62):            # ids above 2^53, both paths
+        e0 = pd.DataFrame({"src": s[mm].astype(np.int64) + off,
+                           "dst": d[mm].astype(np.int64) + off})
+        e1 = e0.assign(wt=np.ones(len(e0), np.int64))
+        a = pagerank(rd.from_pandas(e0), iters=3)
+        b = pagerank(rd.from_pandas(e1), iters=3, weight_col="wt")
+        c = pagerank(rd.from_pandas(e1), iters=3, weight_col="wt",
+                     node_broadcast_limit=0)
+        assert np.allclose(a["score"], b["score"], atol=1e-12)
+        assert np.allclose(b["score"], c["score"], atol=1e-9)
+        base = b if base is None else base
+        for got in (a, b, c):
+            assert got["node_id"].tolist() == [
+                v + off for v in base["node_id"].tolist()]
+        assert np.allclose(base["score"], b["score"], atol=1e-12)
 
     # star 0 -> {1, 2}, edge to 2 twice the weight: node 2 out-ranks 1
     hand = pd.DataFrame({"src": [0, 0], "dst": [1, 2],
@@ -2876,22 +2951,24 @@ def test_label_propagation_heals_bridges(ray_session):
              + [(4, 9)])
     src = [a for a, b in pairs] + [b for a, b in pairs]
     dst = [b for a, b in pairs] + [a for a, b in pairs]
-    edges = rd.from_arrow(pa.table({
-        "src": pa.array(src, pa.int64()),
-        "dst": pa.array(dst, pa.int64())}))
     # limit 500k = broadcast fast path; limit 0 = forced exchange path
-    # (the pagerank-style two-path parity pin)
-    for n_blocks in (1, 4):
-        for limit in (500_000, 0):
-            lab = label_propagation(edges.repartition(n_blocks),
-                                    iters=3, n_parts=4,
-                                    node_broadcast_limit=limit) \
-                .to_pandas()
-            got = dict(zip(lab["node"].astype(int),
-                           lab["label"].astype(int)))
-            assert got == {**{i: 0 for i in range(5)},
-                           **{i: 5 for i in range(5, 10)}}, \
-                (n_blocks, limit)
+    # (the pagerank-style two-path parity pin); ids above 2^53 too
+    for off in (0, 1 << 62):
+        edges = rd.from_arrow(pa.table({
+            "src": pa.array([v + off for v in src], pa.int64()),
+            "dst": pa.array([v + off for v in dst], pa.int64())}))
+        for n_blocks in (1, 4):
+            for limit in (500_000, 0):
+                lab = label_propagation(edges.repartition(n_blocks),
+                                        iters=3, n_parts=4,
+                                        node_broadcast_limit=limit) \
+                    .to_pandas()
+                got = dict(zip(lab["node"].astype(int),
+                               lab["label"].astype(int)))
+                assert got == {**{i + off: off for i in range(5)},
+                               **{i + off: 5 + off
+                                  for i in range(5, 10)}}, \
+                    (off, n_blocks, limit)
 
 
 def test_merge_inverted_index_exact_and_incremental(ray_session, sf_dir):
@@ -3452,18 +3529,23 @@ def test_shortest_paths_cost_vs_hops(ray_session):
         "src": [0, 0, 1, 3],
         "dst": [3, 1, 3, 4],
         "w":   [10, 1, 2, 1]})
-    ds = rd.from_pandas(edges)
-    # limit 500k = broadcast fast path; limit 0 = forced exchange path
-    for limit in (500_000, 0):
-        got = shortest_paths(ds, [0], max_hops=3, n_parts=2,
-                             node_broadcast_limit=limit)
-        dist = dict(zip(got["node_id"], got["dist"]))
-        assert dist == {0: 0, 1: 1, 3: 3, 4: 4}, limit
-        # with only 1 hop allowed the heavy direct edge wins
-        got1 = shortest_paths(ds, [0], max_hops=1, n_parts=2,
-                              node_broadcast_limit=limit)
-        dist1 = dict(zip(got1["node_id"], got1["dist"]))
-        assert dist1 == {0: 0, 1: 1, 3: 10}, limit
+    # limit 500k = broadcast fast path; limit 0 = forced exchange path;
+    # ids above 2^53 too
+    for off in (0, 1 << 62):
+        ds = rd.from_pandas(edges.assign(src=edges["src"] + off,
+                                         dst=edges["dst"] + off))
+        for limit in (500_000, 0):
+            got = shortest_paths(ds, [off], max_hops=3, n_parts=2,
+                                 node_broadcast_limit=limit)
+            dist = dict(zip(got["node_id"], got["dist"]))
+            assert dist == {off: 0, 1 + off: 1, 3 + off: 3,
+                            4 + off: 4}, (off, limit)
+            # with only 1 hop allowed the heavy direct edge wins
+            got1 = shortest_paths(ds, [off], max_hops=1, n_parts=2,
+                                  node_broadcast_limit=limit)
+            dist1 = dict(zip(got1["node_id"], got1["dist"]))
+            assert dist1 == {off: 0, 1 + off: 1, 3 + off: 10}, \
+                (off, limit)
 
 
 def test_copurchase_planted_and_layout_invariant(ray_session, tmp_path):
